@@ -1,10 +1,27 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from snapens import ModelSpec, ScheduleSpec, TrainConfig, gen_two_moons, iterations_for, train
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 # (number, name, passed, detail) tuples filled in by test_acceptance.py
 ACCEPTANCE_RESULTS = []
+
+
+def subprocess_env(**overrides) -> dict:
+    """Environment for a child Python that imports snapens from any cwd.
+
+    Puts the absolute `src` path first on PYTHONPATH, so a relative entry
+    such as `PYTHONPATH=src` cannot break children started elsewhere.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.update(overrides)
+    return env
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> bool:

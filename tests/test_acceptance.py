@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, subprocess_env
 from oracles import fd_relative_error
 from snapens.analysis import default_lambda_grid, interpolate, mean_offdiagonal, softmax_correlation
 from snapens.data import gen_spirals, split
@@ -198,7 +198,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         wd.mkdir()
         proc = subprocess.run(
             [sys.executable, "-m", "snapens", "train", str(recipe)],
-            cwd=wd, capture_output=True, text=True,
+            cwd=wd, env=subprocess_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         workdirs.append(wd / "runs" / "correlation_cyclic")
@@ -249,7 +249,7 @@ def test_criterion_9_vary_cycle_sweep(tmp_path):
             sys.executable, "-m", "snapens", "sweep",
             str(REPO / "recipes" / "vary_cycles"), "--summary", str(summary),
         ],
-        cwd=tmp_path, capture_output=True, text=True,
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
     )
     rows = summary.read_text().splitlines() if summary.exists() else []
     header_ok = bool(rows) and rows[0] == "config,mode,epochs,m,ensemble_error"
