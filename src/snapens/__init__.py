@@ -8,7 +8,15 @@ from .analysis import (
     softmax_correlation,
 )
 from .data import Dataset, gen_blobs, gen_spirals, gen_two_moons, load_csv, load_idx, normalize, save_csv, split
-from .ensemble import EnsembleResult, PredictionMatrix, ensemble_average, ensemble_eval, error_over_time, predict
+from .ensemble import (
+    EnsembleResult,
+    PredictionMatrix,
+    ensemble_average,
+    ensemble_eval,
+    ensemble_sweep,
+    error_over_time,
+    predict,
+)
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -49,6 +57,7 @@ __all__ = [
     "cycle_end_iterations",
     "ensemble_average",
     "ensemble_eval",
+    "ensemble_sweep",
     "error_over_time",
     "evaluate_error",
     "forward",

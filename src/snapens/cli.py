@@ -15,7 +15,7 @@ from . import data as data_mod
 from .analysis import default_lambda_grid, interpolate, softmax_correlation
 from .config import build_datasets, parse_config, resolve_train_config
 from .data import load_csv, save_csv
-from .ensemble import ensemble_eval, error_over_time, predict
+from .ensemble import ensemble_eval, ensemble_sweep, error_over_time, predict
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -87,10 +87,8 @@ def cmd_ensemble(args) -> int:
         rows = [[result.m, _fmt(result.ensemble_error)] + [_fmt(e) for e in result.member_errors]]
     else:
         header = ["m", "ensemble_error"]
-        rows = [
-            [m, _fmt(ensemble_eval(records, dataset, m, args.order).ensemble_error)]
-            for m in range(1, len(records) + 1)
-        ]
+        errors = ensemble_sweep(records, dataset, args.order)
+        rows = [[m, _fmt(error)] for m, error in enumerate(errors, start=1)]
     _write_rows(args.out, header, rows)
     return 0
 

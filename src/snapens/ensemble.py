@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .nn import Batch, ModelSpec, ParamVector, forward, softmax
+from .nn import Batch, ModelSpec, ParamVector, check_labels, forward, softmax
 from .store import SnapshotRecord
 
 ORDERS = ("latest", "earliest")
@@ -52,6 +52,22 @@ def _error_from_probs(probabilities: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predicted != labels))
 
 
+def _check_order(order: str) -> None:
+    if order not in ORDERS:
+        raise InputError(f"order must be one of {ORDERS}, got {order!r}")
+
+
+def _take(members: Sequence, m: int, order: str) -> Sequence:
+    """The m members at the chosen end of a chronological sequence."""
+    return members[-m:] if order == "latest" else members[:m]
+
+
+def _predict_all(records: Sequence[SnapshotRecord], dataset) -> list[PredictionMatrix]:
+    return [
+        predict(r.spec, r.params, dataset, source=f"snapshot_{r.cycle_index}") for r in records
+    ]
+
+
 def ensemble_eval(
     records: Sequence[SnapshotRecord],
     dataset,
@@ -63,18 +79,38 @@ def ensemble_eval(
     `records` must be in chronological order; `latest` takes the last m,
     `earliest` the first m.
     """
-    if order not in ORDERS:
-        raise InputError(f"order must be one of {ORDERS}, got {order!r}")
+    _check_order(order)
     if not 1 <= m <= len(records):
         raise InputError(f"m={m} outside valid range [1, {len(records)}]")
-    chosen = records[-m:] if order == "latest" else records[:m]
-    predictions = [
-        predict(r.spec, r.params, dataset, source=f"snapshot_{r.cycle_index}") for r in chosen
-    ]
-    labels = np.asarray(dataset.labels, dtype=np.int64)
+    chosen = _take(records, m, order)
+    labels = check_labels(chosen[0].spec, dataset.labels)
+    predictions = _predict_all(chosen, dataset)
     member_errors = [_error_from_probs(p.probabilities, labels) for p in predictions]
     averaged = ensemble_average(predictions)
     return EnsembleResult(m, member_errors, _error_from_probs(averaged.probabilities, labels), order)
+
+
+def _growing_errors(predictions: Sequence[PredictionMatrix], labels, order: str) -> list[float]:
+    """Ensemble error of the m predictions at the chosen end, for m = 1..M."""
+    return [
+        _error_from_probs(ensemble_average(_take(predictions, m, order)).probabilities, labels)
+        for m in range(1, len(predictions) + 1)
+    ]
+
+
+def ensemble_sweep(
+    records: Sequence[SnapshotRecord], dataset, order: str = "latest"
+) -> list[float]:
+    """Ensemble error for every m = 1..M, predicting each snapshot once.
+
+    Entry m - 1 equals `ensemble_eval(records, dataset, m, order).ensemble_error`
+    bit for bit: it averages the same prediction arrays in the same order.
+    """
+    _check_order(order)
+    if len(records) == 0:
+        raise InputError("ensemble_sweep needs at least one snapshot")
+    labels = check_labels(records[0].spec, dataset.labels)
+    return _growing_errors(_predict_all(records, dataset), labels, order)
 
 
 def error_over_time(
@@ -83,13 +119,8 @@ def error_over_time(
     """Rows (k, standalone error of snapshot k, error of the earliest-k ensemble)."""
     if len(records) == 0:
         raise InputError("error_over_time needs at least one snapshot")
-    labels = np.asarray(dataset.labels, dtype=np.int64)
-    predictions = [
-        predict(r.spec, r.params, dataset, source=f"snapshot_{r.cycle_index}") for r in records
-    ]
-    rows = []
-    for k, pred in enumerate(predictions, start=1):
-        single = _error_from_probs(pred.probabilities, labels)
-        averaged = ensemble_average(predictions[:k])  # same path as ensemble_eval
-        rows.append((k, single, _error_from_probs(averaged.probabilities, labels)))
-    return rows
+    labels = check_labels(records[0].spec, dataset.labels)
+    predictions = _predict_all(records, dataset)
+    singles = [_error_from_probs(p.probabilities, labels) for p in predictions]
+    ensembled = _growing_errors(predictions, labels, "earliest")  # same path as ensemble_eval
+    return list(zip(range(1, len(predictions) + 1), singles, ensembled))

@@ -107,19 +107,32 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return values
 
 
+class Workspace:
+    """Flat param and grad vectors with their per-layer (W, b) views, built once.
+
+    A training run owns one workspace: it updates `params` in place and passes
+    the workspace to `loss_and_grad`, which then writes the gradient into
+    `grad` through the prebuilt views instead of allocating and re-slicing
+    two vectors on every step.
+    """
+
+    def __init__(self, spec: ModelSpec):
+        self.params = np.zeros(param_count(spec), dtype=np.float64)
+        self.grad = np.zeros_like(self.params)
+        self.layers = layer_views(spec, self.params)
+        self.grad_layers = layer_views(spec, self.grad)
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _forward_cached(spec, params, inputs, mode, dropout_seed):
+def _forward_cached(layers, inputs, drop, dropout_seed):
     """Forward pass keeping pre-activations, activations and dropout masks."""
-    if inputs.shape[1] != spec.input_dim:
-        raise InputError(
-            f"inputs have {inputs.shape[1]} features, spec expects {spec.input_dim}"
-        )
-    layers = layer_views(spec, params)
-    drop = spec.dropout_rate if mode == "train" else 0.0
+    n_in = layers[0][0].shape[0]
+    if inputs.shape[1] != n_in:
+        raise InputError(f"inputs have {inputs.shape[1]} features, spec expects {n_in}")
     rng = np.random.default_rng(dropout_seed) if drop > 0.0 else None
     keep = 1.0 - drop
 
@@ -127,15 +140,18 @@ def _forward_cached(spec, params, inputs, mode, dropout_seed):
     pre_acts = []
     masks = []
     a = inputs
+    last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = a @ w + b
-        pre_acts.append(z)
-        if i == len(layers) - 1:
+        z = a @ w
+        z += b
+        if i == last:
             return z, pre_acts, activations, masks, keep
+        pre_acts.append(z)
         a = np.maximum(z, 0.0)
         if drop > 0.0:
             mask = rng.random(a.shape) < keep
-            a = a * mask / keep
+            a *= mask
+            a /= keep
         else:
             mask = None
         masks.append(mask)
@@ -152,7 +168,8 @@ def forward(
 ) -> np.ndarray:
     """Logits matrix (batch_size x K). Eval mode is deterministic and dropout-free."""
     _check_mode(mode)
-    logits, *_ = _forward_cached(spec, params, batch.inputs, mode, dropout_seed)
+    drop = spec.dropout_rate if mode == "train" else 0.0
+    logits, *_ = _forward_cached(layer_views(spec, params), batch.inputs, drop, dropout_seed)
     return logits
 
 
@@ -170,41 +187,63 @@ def loss_and_grad(
     batch: Batch,
     mode: str = "train",
     dropout_seed: int = 0,
+    workspace: Workspace | None = None,
 ) -> tuple[float, GradVector]:
     """Mean softmax cross-entropy and its exact gradient w.r.t. the flat params.
 
     The backward pass reuses the dropout masks drawn in the forward pass, so
-    (mode, dropout_seed) fully determine the result.
+    (mode, dropout_seed) fully determine the result. Without a workspace the
+    gradient is a new vector. With one, `params` must be `workspace.params`;
+    the gradient is written into `workspace.grad`, which is returned and is
+    overwritten by the next call.
     """
     _check_mode(mode)
+    if workspace is None:
+        layers = layer_views(spec, params)
+        grad = np.zeros(param_count(spec), dtype=np.float64)
+        grad_layers = layer_views(spec, grad)
+    elif params is workspace.params:
+        layers, grad, grad_layers = workspace.layers, workspace.grad, workspace.grad_layers
+    else:
+        raise InputError("with a workspace, params must be the workspace's own vector")
+    drop = spec.dropout_rate if mode == "train" else 0.0
     logits, pre_acts, activations, masks, keep = _forward_cached(
-        spec, params, batch.inputs, mode, dropout_seed
+        layers, batch.inputs, drop, dropout_seed
     )
     n = len(batch)
     rows = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
+    labels = batch.labels
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
     expsum = exp.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(expsum[:, 0]) - shifted[rows, batch.labels]))
+    loss = float(np.add.reduce(np.log(expsum[:, 0]) - logits[rows, labels]) / n)
 
-    delta = exp / expsum
-    delta[rows, batch.labels] -= 1.0
+    delta = exp
+    delta /= expsum
+    delta[rows, labels] -= 1.0
     delta /= n
 
-    layers = layer_views(spec, params)
-    grad = np.zeros_like(np.asarray(params, dtype=np.float64))
-    grad_views = layer_views(spec, grad)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw, gb = grad_views[i]
-        gw[...] = activations[i].T @ delta
-        gb[...] = delta.sum(axis=0)
+        gw, gb = grad_layers[i]
+        np.matmul(activations[i].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
-            da = delta @ w.T
+            delta = delta @ layers[i][0].T
             if masks[i - 1] is not None:
-                da = da * masks[i - 1] / keep
-            delta = da * (pre_acts[i - 1] > 0.0)
+                delta *= masks[i - 1]
+                delta /= keep
+            delta *= pre_acts[i - 1] > 0.0
     return loss, grad
+
+
+def check_labels(spec: ModelSpec, labels) -> np.ndarray:
+    """Labels as int64, raising InputError unless each lies in [0, class_count)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= spec.class_count):
+        raise InputError(
+            f"labels must lie in [0, {spec.class_count}) for a {spec.class_count}-class model"
+        )
+    return labels
 
 
 def evaluate_error(spec: ModelSpec, params: ParamVector, dataset) -> float:
@@ -214,9 +253,9 @@ def evaluate_error(spec: ModelSpec, params: ParamVector, dataset) -> float:
     `inputs` and `labels` attributes (Dataset or Batch).
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
-    labels = np.asarray(dataset.labels, dtype=np.int64)
     if inputs.shape[0] == 0:
         raise InputError("evaluate_error needs a nonempty dataset")
-    logits, *_ = _forward_cached(spec, params, inputs, "eval", 0)
+    labels = check_labels(spec, dataset.labels)
+    logits, *_ = _forward_cached(layer_views(spec, params), inputs, 0.0, 0)
     predicted = np.argmax(softmax(logits), axis=1)
     return float(np.mean(predicted != labels))

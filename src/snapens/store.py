@@ -147,9 +147,11 @@ def write_manifest(manifest: ManifestFile, path) -> None:
         raise FormatError("a run manifest needs at least one snapshot")
     lines = [f"format_version={FORMAT_VERSION}", f"config_digest={manifest.config_digest.hex()}"]
     lines += [f"snapshot={name}" for name in manifest.snapshot_files]
+    tmp_path = f"{os.fspath(path)}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+        os.replace(tmp_path, path)  # readers see the old manifest or the new one
     except OSError as exc:
         raise StorageError(f"cannot write manifest {path}: {exc}") from exc
 

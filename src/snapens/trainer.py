@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DivergenceError, InputError, StorageError
-from .nn import Batch, GradVector, ModelSpec, ParamVector, init_params, loss_and_grad
+from .nn import Batch, GradVector, ModelSpec, ParamVector, Workspace, init_params, loss_and_grad
 from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
 from .store import ManifestFile, SnapshotRecord, write_manifest, write_snapshot
 
@@ -127,13 +127,25 @@ def sgd_step(
     velocity: np.ndarray,
     lr: float,
     momentum: float,
+    in_place: bool = False,
 ) -> tuple[ParamVector, np.ndarray]:
-    """Heavy-ball update: v' = momentum*v - lr*grad; params' = params + v'."""
+    """Heavy-ball update: v' = momentum*v - lr*grad; params' = params + v'.
+
+    Returns (params', v'). By default both are new arrays. With in_place=True
+    the update is written into `velocity` and `params` themselves, which are
+    returned; the training loop steps its flat buffers this way. Both forms
+    perform the same float operations in the same order, so they give the
+    same bits.
+    """
     params = np.asarray(params, dtype=np.float64)
     if grad.shape != params.shape or velocity.shape != params.shape:
         raise InputError("params, grad and velocity must have matching lengths")
-    new_velocity = momentum * velocity - lr * grad
-    return params + new_velocity, new_velocity
+    if not in_place:
+        params, velocity = params.copy(), velocity.astype(np.float64)
+    velocity *= momentum
+    velocity -= lr * grad
+    params += velocity
+    return params, velocity
 
 
 def _snapshot_iterations(config: TrainConfig, total: int) -> tuple[int, ...]:
@@ -166,9 +178,19 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     snapshot_at = set(_snapshot_iterations(config, total))
     digest = config_digest(config)
     cycle_len = config.schedule.cycle_length if config.mode in ("snapshot", "singlecycle") else None
+    lrs = [lr_at(config.schedule, t) for t in range(1, total + 1)]
+    dropout = config.model.dropout_rate > 0.0
 
-    params = init_params(config.model, config.seed)
+    # One workspace per run: the step below only writes into these buffers.
+    # Rows are gathered into a preallocated batch of the full size and one of
+    # the final batch's size; the dataset was validated when it was built.
+    workspace = Workspace(config.model)
+    params = workspace.params
+    params[...] = init_params(config.model, config.seed)
     velocity = np.zeros_like(params)
+    dim = train_data.inputs.shape[1]
+    sizes = {min(config.batch_size, n), n - (batches_per_epoch - 1) * config.batch_size}
+    batches = {b: Batch(np.zeros((b, dim)), np.zeros(b, dtype=np.int64)) for b in sizes}
     records: list[SnapshotRecord] = []
     epoch_losses: list[float] = []
     epoch_end_lrs: list[float] = []
@@ -181,19 +203,22 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
             t += 1
             if config.mode == "singlecycle" and t > 1 and (t - 1) % cycle_len == 0:
                 cycle = (t - 1) // cycle_len + 1
-                params = init_params(config.model, derive_seed(config.seed, "reinit", cycle))
-                velocity = np.zeros_like(params)
+                params[...] = init_params(config.model, derive_seed(config.seed, "reinit", cycle))
+                velocity[...] = 0.0
             idx = order[start : start + config.batch_size]
-            batch = Batch(train_data.inputs[idx], train_data.labels[idx])
-            lr = lr_at(config.schedule, t)
+            batch = batches[idx.shape[0]]
+            # mode="clip" lets take write straight into `out`; every index is valid.
+            train_data.inputs.take(idx, axis=0, out=batch.inputs, mode="clip")
+            train_data.labels.take(idx, out=batch.labels, mode="clip")
+            dropout_seed = derive_seed(config.seed, "dropout", t) if dropout else 0
             loss, grad = loss_and_grad(
-                config.model, params, batch, "train", derive_seed(config.seed, "dropout", t)
+                config.model, params, batch, "train", dropout_seed, workspace=workspace
             )
             if not math.isfinite(loss):
                 raise DivergenceError(t)
             if config.weight_decay > 0.0:
-                grad = grad + config.weight_decay * params
-            params, velocity = sgd_step(params, grad, velocity, lr, config.momentum)
+                grad += config.weight_decay * params
+            sgd_step(params, grad, velocity, lrs[t - 1], config.momentum, in_place=True)
             batch_losses.append(loss)
             if t in snapshot_at:
                 records.append(
@@ -207,15 +232,16 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
                     )
                 )
         epoch_losses.append(float(np.mean(batch_losses)))
-        epoch_end_lrs.append(lr_at(config.schedule, t))
+        epoch_end_lrs.append(lrs[t - 1])
 
     return RunManifest(digest, records, epoch_losses, epoch_end_lrs)
 
 
 def save_run(manifest: RunManifest, out_dir) -> str:
-    """Persist a run: snap_XXX.snap files, run.manifest and loss.csv.
+    """Persist a run: snap_XXX.snap files, loss.csv and, last, run.manifest.
 
-    Returns the manifest path.
+    Snapshot files left by an earlier run in the same directory that the new
+    manifest does not list are deleted. Returns the manifest path.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -226,8 +252,6 @@ def save_run(manifest: RunManifest, out_dir) -> str:
         name = f"snap_{i:03d}.snap"
         write_snapshot(record, os.path.join(out_dir, name))
         names.append(name)
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     try:
         with open(os.path.join(out_dir, LOSS_CSV_NAME), "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -238,4 +262,12 @@ def save_run(manifest: RunManifest, out_dir) -> str:
                 writer.writerow([epoch, repr(loss), repr(lr)])
     except OSError as exc:
         raise StorageError(f"cannot write loss CSV in {out_dir}: {exc}") from exc
+    try:
+        for name in os.listdir(out_dir):
+            if name.startswith("snap_") and name.endswith(".snap") and name not in names:
+                os.remove(os.path.join(out_dir, name))
+    except OSError as exc:
+        raise StorageError(f"cannot remove stale snapshot in {out_dir}: {exc}") from exc
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     return manifest_path

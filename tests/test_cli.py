@@ -214,3 +214,55 @@ def test_sweep_empty_dir_exits_2(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["sweep", str(empty)]) == 2
+
+
+def test_retrain_with_fewer_snapshots_removes_stale_files(tmp_path):
+    out = tmp_path / "run"
+    cfg = tmp_path / "exp.cfg"
+    for cycles in (10, 2):
+        cfg.write_text(
+            MOONS_CFG.format(out=out)
+            .replace("schedule.cycles = 4", f"schedule.cycles = {cycles}")
+            .replace("train.epochs = 8", "train.epochs = 10")  # T = 40 fits 10 cycles
+        )
+        assert main(["train", str(cfg)]) == 0
+    assert sorted(p.name for p in out.glob("*.snap")) == ["snap_001.snap", "snap_002.snap"]
+    assert not list(out.glob("*.tmp"))
+    assert len(load_run(out / "run.manifest")) == 2
+
+
+@pytest.mark.parametrize("command", [["ensemble", "--m", "2"], ["ensemble"], ["curve"]])
+def test_eval_label_out_of_range_exits_2(run_dir, tmp_path, capsys, command):
+    lines = (run_dir / "test.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    lines[1] = ",".join(cells[:-1] + ["7"])  # the net has 2 classes
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    argv = [command[0], "--manifest", str(run_dir / "run.manifest"), "--data", str(bad)]
+    assert main(argv + command[1:]) == 2
+    assert "labels must lie in [0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["latest", "earliest"])
+def test_ensemble_sweep_predicts_once_and_matches_per_m_output(run_dir, tmp_path, monkeypatch, order):
+    import snapens.ensemble as ensemble_mod
+
+    manifest = str(run_dir / "run.manifest")
+    data = str(run_dir / "test.csv")
+    expected = ["m,ensemble_error"]
+    for m in range(1, 5):
+        out = tmp_path / f"m{m}.csv"
+        assert main(["ensemble", "--manifest", manifest, "--data", data,
+                     "--m", str(m), "--order", order, "--out", str(out)]) == 0
+        expected.append(",".join(out.read_text().splitlines()[1].split(",")[:2]))
+
+    calls = []
+    real_predict = ensemble_mod.predict
+    monkeypatch.setattr(
+        ensemble_mod, "predict", lambda *a, **k: calls.append(1) or real_predict(*a, **k)
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["ensemble", "--manifest", manifest, "--data", data,
+                 "--order", order, "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == expected
+    assert len(calls) == 4  # M predicts, not M(M+1)/2

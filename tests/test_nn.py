@@ -10,6 +10,7 @@ from snapens.errors import InputError
 from snapens.nn import (
     Batch,
     ModelSpec,
+    Workspace,
     evaluate_error,
     forward,
     init_params,
@@ -225,3 +226,34 @@ def test_gradient_property_twenty_random_cases():
         params = rng.normal(scale=0.7, size=param_count(spec))
         batch = Batch(rng.normal(size=(8, 2)), rng.integers(0, 3, 8))
         assert fd_relative_error(spec, params, batch, step=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+def test_workspace_gradient_is_bit_identical_and_written_in_place(dropout_rate):
+    spec = ModelSpec((3, 7, 5, 4), dropout_rate=dropout_rate)
+    rng = np.random.default_rng(21)
+    batch = Batch(rng.normal(size=(9, 3)), rng.integers(0, 4, 9))
+    workspace = Workspace(spec)
+    workspace.params[...] = rng.normal(scale=0.8, size=param_count(spec))
+    loss, grad = loss_and_grad(spec, workspace.params.copy(), batch, "train", dropout_seed=5)
+    ws_loss, ws_grad = loss_and_grad(
+        spec, workspace.params, batch, "train", dropout_seed=5, workspace=workspace
+    )
+    assert ws_grad is workspace.grad
+    assert ws_loss == loss
+    assert ws_grad.tobytes() == grad.tobytes()
+
+
+def test_workspace_rejects_foreign_params():
+    spec = ModelSpec((2, 3, 2))
+    batch = Batch(np.zeros((2, 2)), np.zeros(2, int))
+    with pytest.raises(InputError):
+        loss_and_grad(spec, np.zeros(param_count(spec)), batch, workspace=Workspace(spec))
+
+
+def test_evaluate_error_rejects_label_outside_class_count(moons200):
+    spec = ModelSpec((2, 3, 2))
+    labels = moons200.labels.copy()
+    labels[0] = 2
+    with pytest.raises(InputError, match="labels"):
+        evaluate_error(spec, init_params(spec, 0), Batch(moons200.inputs, labels))

@@ -3,7 +3,7 @@ import pytest
 
 from snapens.data import gen_blobs, gen_two_moons
 from snapens.errors import ConfigError, DivergenceError, InputError
-from snapens.nn import ModelSpec, param_count
+from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
 from snapens.schedule import ScheduleSpec, lr_at
 from snapens.trainer import (
     TrainConfig,
@@ -54,6 +54,16 @@ def test_sgd_two_steps_match_hand_expansion():
     p2, v2 = sgd_step(p1, g, v1, lr, m)
     np.testing.assert_allclose(v2, -(1 + m) * lr * g, rtol=1e-15)
     np.testing.assert_allclose(p2, p0 - (2 + m) * lr * g, rtol=1e-15)
+
+
+def test_sgd_step_in_place_returns_its_arguments_with_the_same_bits():
+    rng = np.random.default_rng(5)
+    params, grad, velocity = rng.normal(size=(3, 50))
+    expected_params, expected_velocity = sgd_step(params, grad, velocity, 0.07, 0.9)
+    out_params, out_velocity = sgd_step(params, grad, velocity, 0.07, 0.9, in_place=True)
+    assert out_params is params and out_velocity is velocity
+    assert params.tobytes() == expected_params.tobytes()
+    assert velocity.tobytes() == expected_velocity.tobytes()
 
 
 def test_sgd_step_length_mismatch():
@@ -237,3 +247,55 @@ def test_save_run_layout(tmp_path):
     assert text[0] == "epoch,mean_train_loss,lr_at_epoch_end"
     assert len(text) == 1 + 4
     assert manifest_path.endswith("run.manifest")
+
+
+def reference_train(config, data):
+    """The training loop written with per-step copies and allocating calls."""
+    n = len(data)
+    total = config.schedule.total_iterations
+    cycle_len = config.schedule.cycle_length if config.mode == "singlecycle" else None
+    params = init_params(config.model, config.seed)
+    velocity = np.zeros_like(params)
+    t = 0
+    for epoch in range(1, config.epochs + 1):
+        order = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(n)
+        for start in range(0, n, config.batch_size):
+            t += 1
+            if cycle_len and t > 1 and (t - 1) % cycle_len == 0:
+                params = init_params(
+                    config.model, derive_seed(config.seed, "reinit", (t - 1) // cycle_len + 1)
+                )
+                velocity = np.zeros_like(params)
+            idx = order[start : start + config.batch_size]
+            batch = Batch(data.inputs[idx], data.labels[idx])
+            _, grad = loss_and_grad(
+                config.model, params, batch, "train", derive_seed(config.seed, "dropout", t)
+            )
+            grad = grad + config.weight_decay * params if config.weight_decay > 0.0 else grad
+            params, velocity = sgd_step(params, grad, velocity, lr_at(config.schedule, t), config.momentum)
+    assert t == total
+    return params
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        cyclic_config(106, 10, 3, 2, seed=4, weight_decay=0.01),
+        step_config(106, 10, 3, "single", seed=4),
+        TrainConfig(
+            ModelSpec((2, 8, 8, 2), dropout_rate=0.25),
+            ScheduleSpec("step", 0.1, iterations_for(106, 10, 3)),
+            "single", 3, 10, seed=4,
+        ),
+        TrainConfig(
+            MODEL,
+            ScheduleSpec("cyclic_cosine", 0.2, iterations_for(106, 10, 3), 3),
+            "singlecycle", 3, 10, seed=4,
+        ),
+    ],
+    ids=["snapshot-weight-decay", "single", "dropout", "singlecycle"],
+)
+def test_train_matches_allocating_reference_loop_bit_for_bit(config):
+    data = gen_two_moons(106, 0.1, seed=0)  # 11 batches per epoch, the last one partial
+    final = train(config, data).snapshots[-1].params
+    assert final.tobytes() == reference_train(config, data).tobytes()
