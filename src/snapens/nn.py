@@ -1,9 +1,10 @@
 """Dense feed-forward classifier with explicit forward and backward passes.
 
 Parameters live in a single flat float64 vector ("theta"), ordered layer by
-layer: weight matrix (n_in x n_out, row-major) then bias (n_out). All
-functions here are pure; dropout randomness comes from an explicit seed so
-repeated calls are bit-identical.
+layer: weight matrix (n_in x n_out, row-major) then bias (n_out). The
+functions here are pure, with one exception: given a `Workspace`,
+`loss_and_grad` writes the gradient into `workspace.grad`. Dropout
+randomness comes from an explicit seed, so repeated calls are bit-identical.
 """
 from __future__ import annotations
 

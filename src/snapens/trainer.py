@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,21 +128,15 @@ def sgd_step(
     velocity: np.ndarray,
     lr: float,
     momentum: float,
-    in_place: bool = False,
 ) -> tuple[ParamVector, np.ndarray]:
     """Heavy-ball update: v' = momentum*v - lr*grad; params' = params + v'.
 
-    Returns (params', v'). By default both are new arrays. With in_place=True
-    the update is written into `velocity` and `params` themselves, which are
-    returned; the training loop steps its flat buffers this way. Both forms
-    perform the same float operations in the same order, so they give the
-    same bits.
+    Updates `velocity` and then `params` in place (`v *= momentum;
+    v -= lr*grad; params += v`) and returns those same two arrays. Both must
+    be float64 vectors of the gradient's length.
     """
-    params = np.asarray(params, dtype=np.float64)
     if grad.shape != params.shape or velocity.shape != params.shape:
         raise InputError("params, grad and velocity must have matching lengths")
-    if not in_place:
-        params, velocity = params.copy(), velocity.astype(np.float64)
     velocity *= momentum
     velocity -= lr * grad
     params += velocity
@@ -218,7 +213,7 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
                 raise DivergenceError(t)
             if config.weight_decay > 0.0:
                 grad += config.weight_decay * params
-            sgd_step(params, grad, velocity, lrs[t - 1], config.momentum, in_place=True)
+            sgd_step(params, grad, velocity, lrs[t - 1], config.momentum)
             batch_losses.append(loss)
             if t in snapshot_at:
                 records.append(
@@ -237,11 +232,16 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     return RunManifest(digest, records, epoch_losses, epoch_end_lrs)
 
 
-def save_run(manifest: RunManifest, out_dir) -> str:
-    """Persist a run: snap_XXX.snap files, loss.csv and, last, run.manifest.
+def _snapshot_name(index: int) -> str:
+    return f"snap_{index:03d}.snap"
 
-    Snapshot files left by an earlier run in the same directory that the new
-    manifest does not list are deleted. Returns the manifest path.
+
+def save_run(manifest: RunManifest, out_dir) -> str:
+    """Persist a run: snap_XXX.snap files, loss.csv, then run.manifest.
+
+    Once the new manifest is in place, snapshot files an earlier run in the
+    same directory left behind under names this function writes, and that
+    the new manifest does not list, are deleted. Returns the manifest path.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -249,7 +249,7 @@ def save_run(manifest: RunManifest, out_dir) -> str:
         raise StorageError(f"cannot create run directory {out_dir}: {exc}") from exc
     names = []
     for i, record in enumerate(manifest.snapshots, start=1):
-        name = f"snap_{i:03d}.snap"
+        name = _snapshot_name(i)
         write_snapshot(record, os.path.join(out_dir, name))
         names.append(name)
     try:
@@ -262,12 +262,13 @@ def save_run(manifest: RunManifest, out_dir) -> str:
                 writer.writerow([epoch, repr(loss), repr(lr)])
     except OSError as exc:
         raise StorageError(f"cannot write loss CSV in {out_dir}: {exc}") from exc
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     try:
         for name in os.listdir(out_dir):
-            if name.startswith("snap_") and name.endswith(".snap") and name not in names:
+            match = re.fullmatch(r"snap_(\d+)\.snap", name)
+            if match and name == _snapshot_name(int(match[1])) and name not in names:
                 os.remove(os.path.join(out_dir, name))
     except OSError as exc:
         raise StorageError(f"cannot remove stale snapshot in {out_dir}: {exc}") from exc
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     return manifest_path

@@ -216,19 +216,40 @@ def test_sweep_empty_dir_exits_2(tmp_path):
     assert main(["sweep", str(empty)]) == 2
 
 
+def train_cycles(tmp_path, out, cycles):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        MOONS_CFG.format(out=out)
+        .replace("schedule.cycles = 4", f"schedule.cycles = {cycles}")
+        .replace("train.epochs = 8", "train.epochs = 10")  # T = 40 fits 10 cycles
+    )
+    return main(["train", str(cfg)])
+
+
 def test_retrain_with_fewer_snapshots_removes_stale_files(tmp_path):
     out = tmp_path / "run"
-    cfg = tmp_path / "exp.cfg"
-    for cycles in (10, 2):
-        cfg.write_text(
-            MOONS_CFG.format(out=out)
-            .replace("schedule.cycles = 4", f"schedule.cycles = {cycles}")
-            .replace("train.epochs = 8", "train.epochs = 10")  # T = 40 fits 10 cycles
-        )
-        assert main(["train", str(cfg)]) == 0
-    assert sorted(p.name for p in out.glob("*.snap")) == ["snap_001.snap", "snap_002.snap"]
+    assert train_cycles(tmp_path, out, 10) == 0
+    (out / "snap_best.snap").write_bytes((out / "snap_010.snap").read_bytes())
+    assert train_cycles(tmp_path, out, 2) == 0
+    assert sorted(p.name for p in out.glob("*.snap")) == [
+        "snap_001.snap", "snap_002.snap", "snap_best.snap"
+    ]
     assert not list(out.glob("*.tmp"))
     assert len(load_run(out / "run.manifest")) == 2
+
+
+def test_failed_stale_removal_leaves_a_complete_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert train_cycles(tmp_path, out, 10) == 0
+
+    def refuse(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr("os.remove", refuse)
+    assert train_cycles(tmp_path, out, 2) == 4
+    # The new manifest went in before any deletion and names only files present.
+    assert len(load_run(out / "run.manifest")) == 2
+    assert len(list(out.glob("snap_*.snap"))) == 10
 
 
 @pytest.mark.parametrize("command", [["ensemble", "--m", "2"], ["ensemble"], ["curve"]])

@@ -41,7 +41,7 @@ def test_sgd_step_vanilla():
 def test_sgd_step_identity_on_zero_grad():
     params = np.array([1.0, -3.0])
     new_params, new_velocity = sgd_step(params, np.zeros(2), np.zeros(2), 0.5, 0.9)
-    np.testing.assert_array_equal(new_params, params)
+    np.testing.assert_array_equal(new_params, [1.0, -3.0])
     np.testing.assert_array_equal(new_velocity, np.zeros(2))
 
 
@@ -53,14 +53,15 @@ def test_sgd_two_steps_match_hand_expansion():
     p1, v1 = sgd_step(p0, g, np.zeros(1), lr, m)
     p2, v2 = sgd_step(p1, g, v1, lr, m)
     np.testing.assert_allclose(v2, -(1 + m) * lr * g, rtol=1e-15)
-    np.testing.assert_allclose(p2, p0 - (2 + m) * lr * g, rtol=1e-15)
+    np.testing.assert_allclose(p2, 0.5 - (2 + m) * lr * g, rtol=1e-15)
 
 
 def test_sgd_step_in_place_returns_its_arguments_with_the_same_bits():
     rng = np.random.default_rng(5)
     params, grad, velocity = rng.normal(size=(3, 50))
-    expected_params, expected_velocity = sgd_step(params, grad, velocity, 0.07, 0.9)
-    out_params, out_velocity = sgd_step(params, grad, velocity, 0.07, 0.9, in_place=True)
+    expected_velocity = 0.9 * velocity - 0.07 * grad
+    expected_params = params + expected_velocity
+    out_params, out_velocity = sgd_step(params, grad, velocity, 0.07, 0.9)
     assert out_params is params and out_velocity is velocity
     assert params.tobytes() == expected_params.tobytes()
     assert velocity.tobytes() == expected_velocity.tobytes()
@@ -250,7 +251,7 @@ def test_save_run_layout(tmp_path):
 
 
 def reference_train(config, data):
-    """The training loop written with per-step copies and allocating calls."""
+    """The training loop with per-step copies, allocating calls and the update spelled out."""
     n = len(data)
     total = config.schedule.total_iterations
     cycle_len = config.schedule.cycle_length if config.mode == "singlecycle" else None
@@ -272,7 +273,8 @@ def reference_train(config, data):
                 config.model, params, batch, "train", derive_seed(config.seed, "dropout", t)
             )
             grad = grad + config.weight_decay * params if config.weight_decay > 0.0 else grad
-            params, velocity = sgd_step(params, grad, velocity, lr_at(config.schedule, t), config.momentum)
+            velocity = config.momentum * velocity - lr_at(config.schedule, t) * grad
+            params = params + velocity
     assert t == total
     return params
 
