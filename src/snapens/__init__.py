@@ -28,7 +28,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .nn import Batch, ModelSpec, evaluate_error, forward, init_params, loss_and_grad, param_count, softmax
-from .schedule import ScheduleSpec, cycle_end_iterations, is_cycle_end, lr_at
+from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
 from .store import ManifestFile, SnapshotRecord, load_run, read_manifest, read_snapshot, write_manifest, write_snapshot
 from .trainer import RunManifest, TrainConfig, config_digest, iterations_for, save_run, sgd_step, train
 
@@ -66,7 +66,6 @@ __all__ = [
     "gen_two_moons",
     "init_params",
     "interpolate",
-    "is_cycle_end",
     "iterations_for",
     "load_csv",
     "load_idx",

@@ -63,14 +63,23 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = parse_config(args.config)
+def run_experiment(config_path):
+    """Train one config file and save its run directory plus the split it used.
+
+    Returns the parsed config, the run manifest, the test set and the path of
+    the saved `run.manifest`.
+    """
+    cfg = parse_config(config_path)
     train_set, test_set = build_datasets(cfg)
-    config = resolve_train_config(cfg, len(train_set))
-    manifest = train(config, train_set)
+    manifest = train(resolve_train_config(cfg, len(train_set)), train_set)
     manifest_path = save_run(manifest, cfg.output_dir)
     save_csv(train_set, os.path.join(cfg.output_dir, TRAIN_CSV_NAME))
     save_csv(test_set, os.path.join(cfg.output_dir, TEST_CSV_NAME))
+    return cfg, manifest, test_set, manifest_path
+
+
+def cmd_train(args) -> int:
+    cfg, manifest, _, manifest_path = run_experiment(args.config)
     print(f"run complete: {len(manifest.snapshots)} snapshots in {cfg.output_dir}")
     print(f"manifest: {manifest_path}")
     return 0
@@ -179,13 +188,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"no .cfg files in {args.config_dir}")
     rows = []
     for path in config_files:
-        cfg = parse_config(path)
-        train_set, test_set = build_datasets(cfg)
-        config = resolve_train_config(cfg, len(train_set))
-        manifest = train(config, train_set)
-        save_run(manifest, cfg.output_dir)
-        save_csv(train_set, os.path.join(cfg.output_dir, TRAIN_CSV_NAME))
-        save_csv(test_set, os.path.join(cfg.output_dir, TEST_CSV_NAME))
+        cfg, manifest, test_set, _ = run_experiment(path)
         m = len(manifest.snapshots)
         result = ensemble_eval(manifest.snapshots, test_set, m, "latest")
         name = os.path.splitext(os.path.basename(path))[0]

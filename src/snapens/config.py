@@ -2,12 +2,13 @@
 
 One config file describes one experiment: the model, the schedule, the
 training mode and budget, the data source and the output directory. Unknown
-keys are rejected. In nocycle mode `schedule.cycles` gives the snapshot
-count, mirroring the cycle count of the cyclic runs it is compared against.
+keys are rejected. `train.mode` fixes the schedule kind, so `schedule.kind`
+is optional and, when given, must match it. In nocycle mode `schedule.cycles`
+gives the snapshot count, mirroring the cycle count of the cyclic runs it is
+compared against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import data as data_mod
@@ -15,7 +16,7 @@ from .data import Dataset, load_csv, load_idx, normalize, split
 from .errors import ConfigError
 from .nn import ModelSpec
 from .schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec
-from .trainer import TrainConfig, iterations_for
+from .trainer import MODE_SCHEDULE, TrainConfig, iterations_for
 
 KNOWN_KEYS = frozenset(
     {
@@ -39,7 +40,6 @@ KNOWN_KEYS = frozenset(
 
 _REQUIRED_KEYS = (
     "model.layers",
-    "schedule.kind",
     "schedule.alpha0",
     "train.mode",
     "train.epochs",
@@ -64,7 +64,6 @@ _COMMON_PARAMS = {"train_fraction", "split_seed", "normalize"}
 @dataclass
 class ExperimentConfig:
     model: ModelSpec
-    schedule_kind: str
     alpha0: float
     cycles: int | None
     step_fractions: tuple[tuple[float, float], ...]
@@ -159,25 +158,27 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"model.layers/model.dropout: {exc}") from exc
 
     mode = values["train.mode"]
-    if mode not in ("snapshot", "single", "nocycle", "singlecycle"):
-        raise ConfigError(f"train.mode: unknown mode {values['train.mode']!r}")
-    kind = values["schedule.kind"]
-    if kind not in ("cyclic_cosine", "step", "constant"):
-        raise ConfigError(f"schedule.kind: unknown kind {kind!r}")
+    if mode not in MODE_SCHEDULE:
+        raise ConfigError(f"train.mode: unknown mode {mode!r}")
+    kind = MODE_SCHEDULE[mode]
+    if values.get("schedule.kind", kind) != kind:
+        raise ConfigError(
+            f"schedule.kind: mode {mode!r} requires {kind}, got {values['schedule.kind']!r}"
+        )
 
     cycles = None
-    if mode in ("snapshot", "singlecycle", "nocycle"):
+    if mode != "single":
         if "schedule.cycles" not in values:
             raise ConfigError(f"{path}: missing required key 'schedule.cycles' for mode {mode!r}")
         cycles = _parse_int(values, "schedule.cycles")
     elif "schedule.cycles" in values:
         raise ConfigError(f"schedule.cycles: not applicable to mode {mode!r}")
 
-    fractions = (
-        _parse_step_fractions(values["schedule.step_fractions"])
-        if "schedule.step_fractions" in values
-        else DEFAULT_STEP_FRACTIONS
-    )
+    fractions = DEFAULT_STEP_FRACTIONS
+    if "schedule.step_fractions" in values:
+        if kind != "step":
+            raise ConfigError(f"schedule.step_fractions: not applicable to mode {mode!r}")
+        fractions = _parse_step_fractions(values["schedule.step_fractions"])
 
     source = values["data.source"]
     if source not in DATA_SOURCES:
@@ -185,7 +186,6 @@ def parse_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         model=model,
-        schedule_kind=kind,
         alpha0=_parse_float(values, "schedule.alpha0"),
         cycles=cycles,
         step_fractions=fractions,
@@ -255,20 +255,14 @@ def resolve_train_config(cfg: ExperimentConfig, n_train: int) -> TrainConfig:
     Epochs convert to iterations here; the schedule is built with the exact T
     the trainer will execute.
     """
-    total = iterations_for(n_train, cfg.batch_size, cfg.epochs)
+    kind = MODE_SCHEDULE[cfg.mode]
     schedule = ScheduleSpec(
-        kind=cfg.schedule_kind,
+        kind=kind,
         alpha0=cfg.alpha0,
-        total_iterations=total,
-        cycles=cfg.cycles if cfg.schedule_kind == "cyclic_cosine" else None,
+        total_iterations=iterations_for(n_train, cfg.batch_size, cfg.epochs),
+        cycles=cfg.cycles if kind == "cyclic_cosine" else None,
         step_fractions=cfg.step_fractions,
     )
-    if cfg.mode in ("snapshot", "singlecycle") and cfg.cycles is not None:
-        expected = math.ceil(total / math.ceil(total / cfg.cycles))
-        if expected != cfg.cycles:
-            raise ConfigError(
-                f"schedule.cycles: {cfg.cycles} cycles cannot fit {total} iterations"
-            )
     return TrainConfig(
         model=cfg.model,
         schedule=schedule,

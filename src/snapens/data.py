@@ -117,13 +117,16 @@ def gen_blobs(n: int, class_count: int, spread: float, seed: int) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write `f0,...,f{d-1},label` rows; floats round-trip exactly via repr."""
+    """Write `f0,...,f{d-1},label` rows; floats round-trip exactly via repr.
+
+    The bytes equal `csv.writer`'s (CRLF line ends; no cell needs quoting).
+    Rows convert to Python floats one at a time, so memory stays flat.
+    """
     d = dataset.inputs.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(d)] + ["label"])
-        for row, label in zip(dataset.inputs, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n")
+        for row, label in zip(dataset.inputs, dataset.labels.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\r\n")
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:

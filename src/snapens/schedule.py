@@ -1,4 +1,4 @@
-"""Per-iteration learning-rate schedules: cyclic shifted cosine, step, constant.
+"""Per-iteration learning-rate schedules: cyclic shifted cosine and step.
 
 Iterations are 1-based. The cyclic schedule anneals from alpha0 to ~0 over
 each cycle of L = ceil(T / M) iterations and restarts abruptly at alpha0:
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
-KINDS = ("cyclic_cosine", "step", "constant")
+KINDS = ("cyclic_cosine", "step")
 
 DEFAULT_STEP_FRACTIONS = ((0.5, 0.1), (0.75, 0.1))
 
@@ -69,25 +69,15 @@ def lr_at(spec: ScheduleSpec, t: int) -> float:
     if spec.kind == "cyclic_cosine":
         cycle_len = spec.cycle_length
         return spec.alpha0 / 2.0 * (math.cos(math.pi * ((t - 1) % cycle_len) / cycle_len) + 1.0)
-    if spec.kind == "step":
-        lr = spec.alpha0
-        for fraction, multiplier in spec.step_fractions:
-            if t > math.floor(fraction * spec.total_iterations):
-                lr *= multiplier
-        return lr
-    return spec.alpha0
-
-
-def is_cycle_end(spec: ScheduleSpec, t: int) -> bool:
-    """True iff iteration t finishes a cycle (the final partial cycle counts)."""
-    if spec.kind != "cyclic_cosine":
-        raise InputError("is_cycle_end requires a cyclic_cosine schedule")
-    _check_iteration(spec, t)
-    return t % spec.cycle_length == 0 or t == spec.total_iterations
+    lr = spec.alpha0
+    for fraction, multiplier in spec.step_fractions:
+        if t > math.floor(fraction * spec.total_iterations):
+            lr *= multiplier
+    return lr
 
 
 def cycle_end_iterations(spec: ScheduleSpec) -> tuple[int, ...]:
-    """All iterations in [1, T] at which a cycle ends, in order."""
+    """All iterations in [1, T] at which a cycle ends, in order; a final partial cycle counts."""
     if spec.kind != "cyclic_cosine":
         raise InputError("cycle_end_iterations requires a cyclic_cosine schedule")
     cycle_len = spec.cycle_length

@@ -4,10 +4,13 @@ Snapshot file (`.snap`): a UTF-8 header of `key=value` lines, one blank line,
 then the raw IEEE-754 little-endian float64 parameter array. Floats in the
 header use shortest round-trippable decimals; the config digest is 16 bytes
 hex-encoded. Manifest file (`.manifest`): `key=value` lines listing snapshot
-filenames in chronological order plus the config digest.
+filenames in chronological order plus the config digest. Both are written to
+`<path>.tmp` and renamed into place, so a reader sees the old file or the new
+one, never a half-written one.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -49,6 +52,19 @@ class SnapshotRecord:
             raise FormatError("config_digest must be 16 bytes")
 
 
+def _write_atomically(path, chunks, what: str) -> None:
+    tmp_path = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp_path, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp_path)
+        raise StorageError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def write_snapshot(record: SnapshotRecord, path) -> None:
     header = "\n".join(
         [
@@ -63,13 +79,7 @@ def write_snapshot(record: SnapshotRecord, path) -> None:
         ]
     )
     payload = record.params.astype("<f8", copy=False).tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("utf-8"))
-            fh.write(b"\n\n")
-            fh.write(payload)
-    except OSError as exc:
-        raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
+    _write_atomically(path, (header.encode("utf-8"), b"\n\n", payload), "snapshot")
 
 
 def _parse_header(text: str, path) -> dict[str, str]:
@@ -147,13 +157,7 @@ def write_manifest(manifest: ManifestFile, path) -> None:
         raise FormatError("a run manifest needs at least one snapshot")
     lines = [f"format_version={FORMAT_VERSION}", f"config_digest={manifest.config_digest.hex()}"]
     lines += [f"snapshot={name}" for name in manifest.snapshot_files]
-    tmp_path = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp_path, path)  # readers see the old manifest or the new one
-    except OSError as exc:
-        raise StorageError(f"cannot write manifest {path}: {exc}") from exc
+    _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),), "manifest")
 
 
 def read_manifest(path) -> ManifestFile:

@@ -25,11 +25,18 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DivergenceError, InputError, StorageError
-from .nn import Batch, GradVector, ModelSpec, ParamVector, Workspace, init_params, loss_and_grad
+from .nn import Batch, GradVector, ModelSpec, ParamVector, Workspace, check_labels, init_params, loss_and_grad
 from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
 from .store import ManifestFile, SnapshotRecord, write_manifest, write_snapshot
 
-MODES = ("snapshot", "single", "nocycle", "singlecycle")
+# Each mode fixes its learning-rate schedule kind.
+MODE_SCHEDULE = {
+    "snapshot": "cyclic_cosine",
+    "single": "step",
+    "nocycle": "step",
+    "singlecycle": "cyclic_cosine",
+}
+MODES = tuple(MODE_SCHEDULE)
 
 MANIFEST_NAME = "run.manifest"
 LOSS_CSV_NAME = "loss.csv"
@@ -50,10 +57,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"train.mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode in ("snapshot", "singlecycle") and self.schedule.kind != "cyclic_cosine":
-            raise ConfigError(f"schedule.kind: mode {self.mode!r} requires cyclic_cosine")
-        if self.mode in ("single", "nocycle") and self.schedule.kind != "step":
-            raise ConfigError(f"schedule.kind: mode {self.mode!r} requires step")
+        kind = MODE_SCHEDULE[self.mode]
+        if self.schedule.kind != kind:
+            raise ConfigError(f"schedule.kind: mode {self.mode!r} requires {kind}")
         if self.epochs < 1:
             raise ConfigError("train.epochs must be >= 1")
         if self.batch_size < 1:
@@ -144,7 +150,7 @@ def sgd_step(
 
 
 def _snapshot_iterations(config: TrainConfig, total: int) -> tuple[int, ...]:
-    if config.mode in ("snapshot", "singlecycle"):
+    if config.schedule.kind == "cyclic_cosine":
         ends = cycle_end_iterations(config.schedule)
         if len(ends) != config.schedule.cycles:
             raise ConfigError(
@@ -163,16 +169,16 @@ def _snapshot_iterations(config: TrainConfig, total: int) -> tuple[int, ...]:
 def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     """Run SGD per the config and return the snapshots and loss history."""
     n = len(train_data)
-    batches_per_epoch = math.ceil(n / config.batch_size)
-    total = config.epochs * batches_per_epoch
+    total = iterations_for(n, config.batch_size, config.epochs)
     if total != config.schedule.total_iterations:
         raise ConfigError(
             f"schedule.total_iterations is {config.schedule.total_iterations} but "
-            f"epochs x ceil(n/batch_size) = {config.epochs} x {batches_per_epoch} = {total}"
+            f"epochs x ceil(n/batch_size) = {total}"
         )
+    check_labels(config.model, train_data.labels)
     snapshot_at = set(_snapshot_iterations(config, total))
     digest = config_digest(config)
-    cycle_len = config.schedule.cycle_length if config.mode in ("snapshot", "singlecycle") else None
+    cycle_len = config.schedule.cycle_length if config.schedule.kind == "cyclic_cosine" else None
     lrs = [lr_at(config.schedule, t) for t in range(1, total + 1)]
     dropout = config.model.dropout_rate > 0.0
 
@@ -184,7 +190,7 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     params[...] = init_params(config.model, config.seed)
     velocity = np.zeros_like(params)
     dim = train_data.inputs.shape[1]
-    sizes = {min(config.batch_size, n), n - (batches_per_epoch - 1) * config.batch_size}
+    sizes = {min(config.batch_size, n), n % config.batch_size or config.batch_size}
     batches = {b: Batch(np.zeros((b, dim)), np.zeros(b, dtype=np.int64)) for b in sizes}
     records: list[SnapshotRecord] = []
     epoch_losses: list[float] = []

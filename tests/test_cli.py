@@ -79,6 +79,15 @@ def test_train_missing_key_exits_2_naming_it(tmp_path, capsys):
     assert "schedule.cycles" in capsys.readouterr().err
 
 
+def test_train_label_the_model_cannot_score_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "blobs.cfg"
+    text = MOONS_CFG.format(out=tmp_path / "r").replace("data.source = two_moons", "data.source = blobs")
+    cfg.write_text(text.replace("data.params = n=200,noise=0.1,seed=3", "data.params = n=90,classes=3"))
+    assert main(["train", str(cfg)]) == 2
+    assert "labels must lie in [0, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text(

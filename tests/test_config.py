@@ -30,7 +30,7 @@ def write(tmp_path, text):
 def test_parse_full_config(tmp_path):
     cfg = parse_config(write(tmp_path, GOOD))
     assert cfg.model.layer_sizes == (2, 16, 2)
-    assert cfg.schedule_kind == "cyclic_cosine"
+    assert resolve_train_config(cfg, n_train=100).schedule.kind == "cyclic_cosine"
     assert cfg.alpha0 == 0.2
     assert cfg.cycles == 4
     assert cfg.mode == "snapshot"
@@ -79,8 +79,9 @@ def test_cycles_rejected_for_single_mode(tmp_path):
 def test_unknown_mode_and_kind(tmp_path):
     with pytest.raises(ConfigError, match="train.mode"):
         parse_config(write(tmp_path, GOOD.replace("mode = snapshot", "mode = adamw")))
-    with pytest.raises(ConfigError, match="schedule.kind"):
-        parse_config(write(tmp_path, GOOD.replace("kind = cyclic_cosine", "kind = linear")))
+    for kind in ("linear", "constant"):
+        with pytest.raises(ConfigError, match="schedule.kind"):
+            parse_config(write(tmp_path, GOOD.replace("kind = cyclic_cosine", f"kind = {kind}")))
 
 
 def test_bad_data_param_key(tmp_path):
@@ -97,11 +98,31 @@ def test_step_fractions_parsing(tmp_path):
     assert cfg.step_fractions == ((0.4, 0.5), (0.8, 0.2))
 
 
-def test_mode_kind_mismatch_surfaces_at_resolve(tmp_path):
+@pytest.mark.parametrize("mode", ["snapshot", "singlecycle"])
+def test_step_fractions_rejected_for_cyclic_modes(tmp_path, mode):
+    text = GOOD.replace("train.mode = snapshot", f"train.mode = {mode}")
+    text += "schedule.step_fractions = 0.3:0.5\n"
+    with pytest.raises(ConfigError, match="schedule.step_fractions"):
+        parse_config(write(tmp_path, text))
+
+
+def test_mode_kind_mismatch_rejected_at_parse(tmp_path):
     text = GOOD.replace("schedule.kind = cyclic_cosine", "schedule.kind = step")
-    cfg = parse_config(write(tmp_path, text))
     with pytest.raises(ConfigError, match="schedule.kind"):
-        resolve_train_config(cfg, n_train=100)
+        parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "mode, kind",
+    [("snapshot", "cyclic_cosine"), ("singlecycle", "cyclic_cosine"), ("single", "step"), ("nocycle", "step")],
+)
+def test_schedule_kind_is_derived_from_mode(tmp_path, mode, kind):
+    text = GOOD.replace("schedule.kind = cyclic_cosine\n", "")
+    text = text.replace("train.mode = snapshot", f"train.mode = {mode}")
+    if mode == "single":
+        text = text.replace("schedule.cycles = 4\n", "")
+    config = resolve_train_config(parse_config(write(tmp_path, text)), n_train=100)
+    assert config.schedule.kind == kind
 
 
 def test_resolve_computes_total_iterations(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,22 @@ def test_spirals_round_trip_through_csv_exactly(tmp_path):
     np.testing.assert_array_equal(back.inputs, ds.inputs)
     np.testing.assert_array_equal(back.labels, ds.labels)
     assert back.class_count == ds.class_count
+
+
+def test_save_csv_bytes_match_csv_writer(tmp_path):
+    spirals = gen_spirals(200, 2.0, 0.08, seed=7)
+    extremes = np.array([[-0.0, 5e-324], [1e22, -1.5e-07], [0.1, 1.0], [-1e-300, 123456789.0]])
+    ds = Dataset(np.vstack([spirals.inputs, extremes]), np.append(spirals.labels, [1, 0, 1, 0]), 2)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["f0", "f1", "label"])
+        for row, label in zip(ds.inputs, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    path = tmp_path / "saved.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == reference.read_bytes()
+    assert load_csv(path).inputs.tobytes() == ds.inputs.tobytes()
 
 
 def test_blobs_with_zero_spread_are_nearest_centroid_separable():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snapens.errors import InputError
-from snapens.schedule import ScheduleSpec, cycle_end_iterations, is_cycle_end, lr_at
+from snapens.schedule import ScheduleSpec, cycle_end_iterations, lr_at
 
 # alpha0/2 * (cos(pi*99/100) + 1) at 50-digit precision (frozen from mpmath)
 LR_T100_ALPHA02_L100 = 4.9343963426844300e-05
@@ -36,11 +36,6 @@ def test_step_drops_at_half_and_three_quarters():
     assert abs(lr_at(STEP, 300) - 0.001) < 1e-12
 
 
-def test_constant_schedule():
-    spec = ScheduleSpec("constant", 0.05, 10)
-    assert all(lr_at(spec, t) == 0.05 for t in range(1, 11))
-
-
 def test_custom_step_fractions():
     spec = ScheduleSpec("step", 1.0, 100, step_fractions=((0.2, 0.5), (0.9, 0.1)))
     assert lr_at(spec, 20) == 1.0
@@ -56,29 +51,25 @@ def test_iteration_out_of_range_raises():
 
 
 def test_is_cycle_end_at_boundaries():
-    assert is_cycle_end(CYCLIC, 100)
-    assert not is_cycle_end(CYCLIC, 99)
-    assert is_cycle_end(CYCLIC, 600)
+    assert cycle_end_iterations(CYCLIC) == (100, 200, 300, 400, 500, 600)
 
 
 def test_final_partial_cycle_ends_with_snapshot():
     spec = ScheduleSpec("cyclic_cosine", 0.2, 601, 6)  # L = 101
-    assert is_cycle_end(spec, 601)
-    assert is_cycle_end(spec, 505)
-    assert not is_cycle_end(spec, 506)
     assert cycle_end_iterations(spec) == (101, 202, 303, 404, 505, 601)
 
 
 def test_is_cycle_end_requires_cyclic():
     with pytest.raises(InputError):
-        is_cycle_end(STEP, 10)
+        cycle_end_iterations(STEP)
 
 
 def test_spec_validation():
+    for kind in ("warmup", "constant"):
+        with pytest.raises(InputError):
+            ScheduleSpec(kind, 0.1, 10)
     with pytest.raises(InputError):
-        ScheduleSpec("warmup", 0.1, 10)
-    with pytest.raises(InputError):
-        ScheduleSpec("constant", 0.0, 10)
+        ScheduleSpec("step", 0.0, 10)
     with pytest.raises(InputError):
         ScheduleSpec("cyclic_cosine", 0.1, 10)  # cycles missing
     with pytest.raises(InputError):
@@ -94,9 +85,9 @@ def test_spec_validation():
 def test_cycle_count_and_periodicity_when_m_divides_t(cycles, cycle_len):
     total = cycles * cycle_len
     spec = ScheduleSpec("cyclic_cosine", 0.3, total, cycles)
-    ends = [t for t in range(1, total + 1) if is_cycle_end(spec, t)]
+    ends = cycle_end_iterations(spec)
     assert len(ends) == cycles
-    assert ends == list(cycle_end_iterations(spec))
+    assert ends == tuple(range(cycle_len, total + 1, cycle_len))
     for t in range(1, total - cycle_len + 1):
         assert lr_at(spec, t) == lr_at(spec, t + cycle_len)
 

@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapens.errors import ConsistencyError, FormatError
+import snapens.store as store_mod
+from snapens.errors import ConsistencyError, FormatError, StorageError
 from snapens.nn import ModelSpec, param_count
 from snapens.store import (
     ManifestFile,
@@ -86,6 +89,33 @@ def test_written_files_are_byte_identical_across_calls(tmp_path):
     write_snapshot(record, tmp_path / "one.snap")
     write_snapshot(record, tmp_path / "two.snap")
     assert (tmp_path / "one.snap").read_bytes() == (tmp_path / "two.snap").read_bytes()
+
+
+def test_failed_snapshot_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "snap_001.snap"
+    old = make_record(seed=1)
+    write_snapshot(old, path)
+    old_bytes = path.read_bytes()
+    new = make_record(layer_sizes=(2, 16, 2), seed=2, train_loss=9.0)
+    failed = []
+
+    class FailsMidPayload(io.FileIO):
+        def write(self, chunk):
+            if len(chunk) == new.params.nbytes:  # the header and blank line went through
+                super().write(chunk[: len(chunk) // 2])
+                failed.append(True)
+                raise OSError(28, "No space left on device")
+            return super().write(chunk)
+
+    monkeypatch.setattr(store_mod, "open", lambda p, mode: FailsMidPayload(p, "w"), raising=False)
+    with pytest.raises(StorageError, match="snap_001.snap"):
+        write_snapshot(new, path)
+    monkeypatch.undo()
+    assert failed
+    assert path.read_bytes() == old_bytes
+    back = read_snapshot(path)
+    assert back.params.tobytes() == old.params.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap_001.snap"]
 
 
 def test_manifest_round_trip(tmp_path):
