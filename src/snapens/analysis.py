@@ -23,7 +23,6 @@ class InterpolationCurve:
 
     lambdas: np.ndarray
     errors: np.ndarray
-    endpoints: tuple[str, str]  # (theta1 id, theta2 id)
 
 
 def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> np.ndarray:
@@ -36,7 +35,6 @@ def interpolate(
     theta2: ParamVector,
     dataset,
     lambda_grid: np.ndarray | None = None,
-    endpoints: tuple[str, str] = ("theta1", "theta2"),
 ) -> InterpolationCurve:
     """Evaluate test error at every convex combination on the lambda grid."""
     theta1 = np.asarray(theta1, dtype=np.float64)
@@ -60,7 +58,7 @@ def interpolate(
         else:
             mixed = lam * theta1 + (1.0 - lam) * theta2
         errors[i] = evaluate_error(spec, mixed, dataset)
-    return InterpolationCurve(grid, errors, endpoints)
+    return InterpolationCurve(grid, errors)
 
 
 @dataclass
@@ -68,7 +66,6 @@ class CorrelationMatrix:
     """Symmetric Pearson matrix between snapshot prediction vectors."""
 
     values: np.ndarray  # (M, M), unit diagonal
-    sources: tuple[str, ...]
 
 
 def softmax_correlation(predictions: Sequence[PredictionMatrix]) -> CorrelationMatrix:
@@ -99,7 +96,7 @@ def softmax_correlation(predictions: Sequence[PredictionMatrix]) -> CorrelationM
             r = float(centered[i] @ centered[j]) / (norms[i] * norms[j])
             values[i, j] = r
             values[j, i] = r
-    return CorrelationMatrix(values, tuple(p.source for p in predictions))
+    return CorrelationMatrix(values)
 
 
 def mean_offdiagonal(matrix: CorrelationMatrix) -> float:

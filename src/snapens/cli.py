@@ -11,11 +11,10 @@ import csv
 import os
 import sys
 
-from . import data as data_mod
 from .analysis import default_lambda_grid, interpolate, softmax_correlation
 from .config import build_datasets, parse_config, resolve_train_config
-from .data import load_csv, save_csv
-from .ensemble import ensemble_eval, ensemble_sweep, error_over_time, predict
+from .data import GENERATORS, load_csv, save_csv
+from .ensemble import ORDERS, ensemble_eval, ensemble_sweep, error_over_time, predict
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -52,12 +51,8 @@ def _fmt(value) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    if args.source == "two_moons":
-        dataset = data_mod.gen_two_moons(args.n, args.noise, args.seed)
-    elif args.source == "spirals":
-        dataset = data_mod.gen_spirals(args.n, args.turns, args.noise, args.seed)
-    else:
-        dataset = data_mod.gen_blobs(args.n, args.classes, args.spread, args.seed)
+    generator, params = GENERATORS[args.source]
+    dataset = generator(*(getattr(args, name) for name, _ in params))
     save_csv(dataset, args.out)
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
@@ -85,9 +80,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_eval_inputs(args):
+    """The snapshots `--manifest` names and the dataset in `--data`."""
+    return load_run(args.manifest), load_csv(args.data)
+
+
 def cmd_ensemble(args) -> int:
-    records = load_run(args.manifest)
-    dataset = load_csv(args.data)
+    records, dataset = _load_eval_inputs(args)
     if args.m is not None:
         result = ensemble_eval(records, dataset, args.m, args.order)
         header = ["m", "ensemble_error"] + [
@@ -103,8 +102,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    records = load_run(args.manifest)
-    dataset = load_csv(args.data)
+    records, dataset = _load_eval_inputs(args)
     rows = [
         [k, _fmt(single), _fmt(ensembled)]
         for k, single, ensembled in error_over_time(records, dataset)
@@ -119,8 +117,7 @@ def _check_snapshot_index(i: int, count: int) -> None:
 
 
 def cmd_interpolate(args) -> int:
-    records = load_run(args.manifest)
-    dataset = load_csv(args.data)
+    records, dataset = _load_eval_inputs(args)
     count = len(records)
     if args.pair is not None:
         pairs = [(args.pair[0], args.pair[1])]
@@ -139,7 +136,6 @@ def cmd_interpolate(args) -> int:
             records[j - 1].params,
             dataset,
             grid,
-            endpoints=(f"snapshot_{i}", f"snapshot_{j}"),
         )
         out = os.path.join(args.out, f"interp_{i:03d}_{j:03d}.csv")
         _write_rows(
@@ -152,8 +148,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    records = load_run(args.manifest)
-    dataset = load_csv(args.data)
+    records, dataset = _load_eval_inputs(args)
     predictions = [
         predict(r.spec, r.params, dataset, source=f"snapshot_{r.cycle_index}") for r in records
     ]
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--source", required=True, choices=("two_moons", "spirals", "blobs"))
+    p.add_argument("--source", required=True, choices=tuple(GENERATORS))
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--noise", type=float, default=0.1)
@@ -221,23 +216,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ensemble", help="ensemble error for one m or a sweep over m")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--data", required=True, help="evaluation dataset CSV")
+    eval_inputs = argparse.ArgumentParser(add_help=False)
+    eval_inputs.add_argument("--manifest", required=True)
+    eval_inputs.add_argument("--data", required=True, help="evaluation dataset CSV")
+
+    p = sub.add_parser(
+        "ensemble", parents=[eval_inputs], help="ensemble error for one m or a sweep over m"
+    )
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--order", choices=("latest", "earliest"), default="latest")
+    p.add_argument("--order", choices=ORDERS, default="latest")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("curve", help="single vs growing-ensemble error over snapshots")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser(
+        "curve", parents=[eval_inputs], help="single vs growing-ensemble error over snapshots"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("interpolate", help="test error along lines between snapshots")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser(
+        "interpolate", parents=[eval_inputs], help="test error along lines between snapshots"
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
     group.add_argument("--against-final", action="store_true")
@@ -245,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for curve CSVs")
     p.set_defaults(func=cmd_interpolate)
 
-    p = sub.add_parser("correlate", help="pairwise softmax correlation between snapshots")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser(
+        "correlate", parents=[eval_inputs], help="pairwise softmax correlation between snapshots"
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_correlate)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import data as data_mod
-from .data import Dataset, load_csv, load_idx, normalize, split
+from .data import GENERATORS, Dataset, load_csv, load_idx, normalize, split
 from .errors import ConfigError
 from .nn import ModelSpec
 from .schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec
@@ -49,12 +48,8 @@ _REQUIRED_KEYS = (
     "output.dir",
 )
 
-DATA_SOURCES = ("two_moons", "spirals", "blobs", "csv", "idx")
-
 _SOURCE_PARAMS = {
-    "two_moons": {"n", "noise", "seed"},
-    "spirals": {"n", "turns", "noise", "seed"},
-    "blobs": {"n", "classes", "spread", "seed"},
+    **{source: {name for name, _ in params} for source, (_, params) in GENERATORS.items()},
     "csv": {"path", "label"},
     "idx": {"images", "labels"},
 }
@@ -181,7 +176,7 @@ def parse_config(path) -> ExperimentConfig:
         fractions = _parse_step_fractions(values["schedule.step_fractions"])
 
     source = values["data.source"]
-    if source not in DATA_SOURCES:
+    if source not in _SOURCE_PARAMS:
         raise ConfigError(f"data.source: unknown source {source!r}")
 
     return ExperimentConfig(
@@ -218,24 +213,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Construct the (train, test) pair a config describes."""
     p = cfg.data_params
     source = cfg.data_source
-    if source == "two_moons":
-        full = data_mod.gen_two_moons(
-            _param(p, "n", 1000, int), _param(p, "noise", 0.1, float), _param(p, "seed", 0, int)
-        )
-    elif source == "spirals":
-        full = data_mod.gen_spirals(
-            _param(p, "n", 2000, int),
-            _param(p, "turns", 2.0, float),
-            _param(p, "noise", 0.08, float),
-            _param(p, "seed", 0, int),
-        )
-    elif source == "blobs":
-        full = data_mod.gen_blobs(
-            _param(p, "n", 900, int),
-            _param(p, "classes", 3, int),
-            _param(p, "spread", 0.5, float),
-            _param(p, "seed", 0, int),
-        )
+    if source in GENERATORS:
+        generator, defaults = GENERATORS[source]
+        full = generator(*(_param(p, key, default, type(default)) for key, default in defaults))
     elif source == "csv":
         full = load_csv(_param(p, "path", None, str), _param(p, "label", "label", str))
     else:

@@ -116,6 +116,15 @@ def gen_blobs(n: int, class_count: int, spread: float, seed: int) -> Dataset:
     return Dataset(np.vstack(chunks), np.array(labels, np.int64), class_count)
 
 
+# Synthetic source -> (generator, ((param, config default), ...)): the generator's
+# positional arguments in order, named as `data.params` keys and `gen-data` flags.
+GENERATORS = {
+    "two_moons": (gen_two_moons, (("n", 1000), ("noise", 0.1), ("seed", 0))),
+    "spirals": (gen_spirals, (("n", 2000), ("turns", 2.0), ("noise", 0.08), ("seed", 0))),
+    "blobs": (gen_blobs, (("n", 900), ("classes", 3), ("spread", 0.5), ("seed", 0))),
+}
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write `f0,...,f{d-1},label` rows; floats round-trip exactly via repr.
 
@@ -131,8 +140,8 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a numeric CSV with a header; `label_column` holds integer classes."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -165,6 +174,17 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     return Dataset(np.array(inputs, np.float64), labels, int(labels.max()) + 1)
 
 
+def _csv_rows(fh, path):
+    """`csv.reader` rows, raising FormatError on bytes that are not UTF-8 or bad CSV."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _is_float(cell: str) -> bool:
     try:
         float(cell)
@@ -182,6 +202,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     magic, count, rows, cols = struct.unpack(">IIII", blob[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise FormatError(f"{images_path}: bad images magic 0x{magic:08x}")
+    if count == 0:
+        raise FormatError(f"{images_path}: no images")
     payload = blob[16:]
     if len(payload) != count * rows * cols:
         raise FormatError(f"{images_path}: images payload length mismatch")

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .nn import Batch, ModelSpec, ParamVector, check_labels, forward, softmax
+from .nn import Batch, ModelSpec, ParamVector, check_labels, error_rate, forward, softmax
 from .store import SnapshotRecord
 
 ORDERS = ("latest", "earliest")
@@ -18,7 +18,7 @@ class PredictionMatrix:
     """Per-example softmax outputs of one model over one dataset."""
 
     probabilities: np.ndarray  # (n_examples, K), rows on the simplex
-    source: str
+    source: str = ""
 
 
 @dataclass
@@ -26,7 +26,6 @@ class EnsembleResult:
     m: int
     member_errors: list[float]
     ensemble_error: float
-    order: str
 
 
 def predict(spec: ModelSpec, params: ParamVector, dataset, source: str = "") -> PredictionMatrix:
@@ -42,19 +41,7 @@ def ensemble_average(members: Sequence[PredictionMatrix]) -> PredictionMatrix:
     shape = members[0].probabilities.shape
     if any(m.probabilities.shape != shape for m in members):
         raise InputError("ensemble members must all have the same shape")
-    stacked = np.stack([m.probabilities for m in members])
-    source = "average(" + ",".join(m.source for m in members) + ")"
-    return PredictionMatrix(stacked.mean(axis=0), source)
-
-
-def _error_from_probs(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    predicted = np.argmax(probabilities, axis=1)  # ties -> lowest class index
-    return float(np.mean(predicted != labels))
-
-
-def _check_order(order: str) -> None:
-    if order not in ORDERS:
-        raise InputError(f"order must be one of {ORDERS}, got {order!r}")
+    return PredictionMatrix(np.stack([m.probabilities for m in members]).mean(axis=0))
 
 
 def _take(members: Sequence, m: int, order: str) -> Sequence:
@@ -62,10 +49,25 @@ def _take(members: Sequence, m: int, order: str) -> Sequence:
     return members[-m:] if order == "latest" else members[:m]
 
 
-def _predict_all(records: Sequence[SnapshotRecord], dataset) -> list[PredictionMatrix]:
-    return [
-        predict(r.spec, r.params, dataset, source=f"snapshot_{r.cycle_index}") for r in records
+def _score(
+    records: Sequence[SnapshotRecord], dataset, order: str
+) -> tuple[list[float], list[float]]:
+    """Member errors, and growing-ensemble errors for m = 1..M at the chosen end.
+
+    Checks the labels once and predicts each record once; entry m - 1 of the
+    second list scores the mean of the m predictions `_take` picks.
+    """
+    if order not in ORDERS:
+        raise InputError(f"order must be one of {ORDERS}, got {order!r}")
+    if len(records) == 0:
+        raise InputError("an ensemble needs at least one snapshot")
+    labels = check_labels(records[0].spec, dataset.labels)
+    predictions = [predict(r.spec, r.params, dataset) for r in records]
+    ensembled = [
+        error_rate(ensemble_average(_take(predictions, m, order)).probabilities, labels)
+        for m in range(1, len(predictions) + 1)
     ]
+    return [error_rate(p.probabilities, labels) for p in predictions], ensembled
 
 
 def ensemble_eval(
@@ -79,23 +81,10 @@ def ensemble_eval(
     `records` must be in chronological order; `latest` takes the last m,
     `earliest` the first m.
     """
-    _check_order(order)
     if not 1 <= m <= len(records):
         raise InputError(f"m={m} outside valid range [1, {len(records)}]")
-    chosen = _take(records, m, order)
-    labels = check_labels(chosen[0].spec, dataset.labels)
-    predictions = _predict_all(chosen, dataset)
-    member_errors = [_error_from_probs(p.probabilities, labels) for p in predictions]
-    averaged = ensemble_average(predictions)
-    return EnsembleResult(m, member_errors, _error_from_probs(averaged.probabilities, labels), order)
-
-
-def _growing_errors(predictions: Sequence[PredictionMatrix], labels, order: str) -> list[float]:
-    """Ensemble error of the m predictions at the chosen end, for m = 1..M."""
-    return [
-        _error_from_probs(ensemble_average(_take(predictions, m, order)).probabilities, labels)
-        for m in range(1, len(predictions) + 1)
-    ]
+    member_errors, ensembled = _score(_take(records, m, order), dataset, order)
+    return EnsembleResult(m, member_errors, ensembled[-1])
 
 
 def ensemble_sweep(
@@ -106,21 +95,12 @@ def ensemble_sweep(
     Entry m - 1 equals `ensemble_eval(records, dataset, m, order).ensemble_error`
     bit for bit: it averages the same prediction arrays in the same order.
     """
-    _check_order(order)
-    if len(records) == 0:
-        raise InputError("ensemble_sweep needs at least one snapshot")
-    labels = check_labels(records[0].spec, dataset.labels)
-    return _growing_errors(_predict_all(records, dataset), labels, order)
+    return _score(records, dataset, order)[1]
 
 
 def error_over_time(
     records: Sequence[SnapshotRecord], dataset
 ) -> list[tuple[int, float, float]]:
     """Rows (k, standalone error of snapshot k, error of the earliest-k ensemble)."""
-    if len(records) == 0:
-        raise InputError("error_over_time needs at least one snapshot")
-    labels = check_labels(records[0].spec, dataset.labels)
-    predictions = _predict_all(records, dataset)
-    singles = [_error_from_probs(p.probabilities, labels) for p in predictions]
-    ensembled = _growing_errors(predictions, labels, "earliest")  # same path as ensemble_eval
-    return list(zip(range(1, len(predictions) + 1), singles, ensembled))
+    singles, ensembled = _score(records, dataset, "earliest")
+    return list(zip(range(1, len(singles) + 1), singles, ensembled))

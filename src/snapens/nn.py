@@ -42,10 +42,6 @@ class ModelSpec:
             raise InputError("dropout_rate must lie in [0, 1)")
 
     @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
     def class_count(self) -> int:
         return self.layer_sizes[-1]
 
@@ -247,16 +243,19 @@ def check_labels(spec: ModelSpec, labels) -> np.ndarray:
     return labels
 
 
-def evaluate_error(spec: ModelSpec, params: ParamVector, dataset) -> float:
-    """Fraction of examples whose argmax softmax class differs from the label.
+def error_rate(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose argmax class differs from the label; ties go to the lowest class."""
+    return float(np.mean(np.argmax(probabilities, axis=1) != labels))
 
-    Ties break toward the lowest class index. `dataset` is anything with
-    `inputs` and `labels` attributes (Dataset or Batch).
+
+def evaluate_error(spec: ModelSpec, params: ParamVector, dataset) -> float:
+    """`error_rate` of the eval-mode softmax outputs on `dataset`.
+
+    `dataset` is anything with `inputs` and `labels` attributes (Dataset or Batch).
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     if inputs.shape[0] == 0:
         raise InputError("evaluate_error needs a nonempty dataset")
     labels = check_labels(spec, dataset.labels)
     logits, *_ = _forward_cached(layer_views(spec, params), inputs, 0.0, 0)
-    predicted = np.argmax(softmax(logits), axis=1)
-    return float(np.mean(predicted != labels))
+    return error_rate(softmax(logits), labels)

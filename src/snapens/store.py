@@ -109,7 +109,11 @@ def read_snapshot(path) -> SnapshotRecord:
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise FormatError(f"{path}: missing blank line after header")
-    fields = _parse_header(blob[:sep].decode("utf-8"), path)
+    try:
+        header = blob[:sep].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: header is not UTF-8 text") from None
+    fields = _parse_header(header, path)
     if fields["format_version"] != str(FORMAT_VERSION):
         raise FormatError(f"{path}: unsupported format_version {fields['format_version']!r}")
     try:
@@ -167,15 +171,22 @@ def read_manifest(path) -> ManifestFile:
             text = fh.read()
     except OSError as exc:
         raise StorageError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: manifest is not UTF-8 text") from None
     version = None
     digest = None
     files = []
+    seen = set()
     for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:
             raise FormatError(f"{path}: malformed manifest line {line!r}")
         key, value = line.split("=", 1)
+        if key in seen:
+            raise FormatError(f"{path}: duplicate manifest field {key!r}")
+        if key != "snapshot":
+            seen.add(key)
         if key == "format_version":
             version = value
         elif key == "config_digest":

@@ -13,6 +13,7 @@ bit-identical results.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -243,16 +244,22 @@ def _snapshot_name(index: int) -> str:
 
 
 def save_run(manifest: RunManifest, out_dir) -> str:
-    """Persist a run: snap_XXX.snap files, loss.csv, then run.manifest.
+    """Persist a run: drop any old run.manifest, write snap_XXX.snap files,
+    loss.csv, then the new run.manifest.
 
-    Once the new manifest is in place, snapshot files an earlier run in the
-    same directory left behind under names this function writes, and that
-    the new manifest does not list, are deleted. Returns the manifest path.
+    Dropping the old manifest first means a save that fails partway leaves no
+    manifest over a mix of old and new snapshots. Once the new manifest is in
+    place, snapshot files an earlier run in the same directory left behind
+    under names this function writes, and that the new manifest does not
+    list, are deleted. Returns the manifest path.
     """
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     try:
         os.makedirs(out_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest_path)
     except OSError as exc:
-        raise StorageError(f"cannot create run directory {out_dir}: {exc}") from exc
+        raise StorageError(f"cannot prepare run directory {out_dir}: {exc}") from exc
     names = []
     for i, record in enumerate(manifest.snapshots, start=1):
         name = _snapshot_name(i)
@@ -268,7 +275,6 @@ def save_run(manifest: RunManifest, out_dir) -> str:
                 writer.writerow([epoch, repr(loss), repr(lr)])
     except OSError as exc:
         raise StorageError(f"cannot write loss CSV in {out_dir}: {exc}") from exc
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     try:
         for name in os.listdir(out_dir):

@@ -91,7 +91,6 @@ def test_correlation_matches_hand_computation():
     assert matrix.values[0, 1] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
     assert matrix.values[0, 2] == pytest.approx(-1 / math.sqrt(10), abs=1e-12)
     assert matrix.values[1, 2] == pytest.approx(-2 / math.sqrt(5), abs=1e-12)
-    assert matrix.sources == ("a", "b", "c")
 
 
 def test_correlation_matrix_properties():
@@ -123,4 +122,4 @@ def test_correlation_input_validation():
 
 def test_mean_offdiagonal():
     values = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.6], [0.4, 0.6, 1.0]])
-    assert mean_offdiagonal(CorrelationMatrix(values, ("a", "b", "c"))) == pytest.approx(0.4)
+    assert mean_offdiagonal(CorrelationMatrix(values)) == pytest.approx(0.4)

@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from snapens.cli import main
 from snapens.data import load_csv
+from snapens.errors import StorageError
 from snapens.store import load_run
 
 MOONS_CFG = """\
@@ -251,14 +254,57 @@ def test_failed_stale_removal_leaves_a_complete_manifest(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert train_cycles(tmp_path, out, 10) == 0
 
+    real_remove = os.remove
+
     def refuse(path):
-        raise PermissionError(path)
+        if str(path).endswith(".snap"):  # the stale snapshots, not the old manifest
+            raise PermissionError(path)
+        real_remove(path)
 
     monkeypatch.setattr("os.remove", refuse)
     assert train_cycles(tmp_path, out, 2) == 4
     # The new manifest went in before any deletion and names only files present.
     assert len(load_run(out / "run.manifest")) == 2
     assert len(list(out.glob("snap_*.snap"))) == 10
+
+
+def test_interrupted_save_leaves_no_manifest_over_mixed_snapshots(tmp_path, monkeypatch):
+    import snapens.trainer as trainer_mod
+
+    out = tmp_path / "run"
+    assert train_cycles(tmp_path, out, 3) == 0
+    real_write = trainer_mod.write_snapshot
+    written = []
+
+    def fail_second(record, path):
+        written.append(path)
+        if len(written) == 2:
+            raise StorageError(f"cannot write snapshot {path}: disk full")
+        real_write(record, path)
+
+    monkeypatch.setattr(trainer_mod, "write_snapshot", fail_second)
+    cfg = tmp_path / "other.cfg"  # a different config into the same directory
+    cfg.write_text(MOONS_CFG.format(out=out).replace("schedule.cycles = 4", "schedule.cycles = 3")
+                   .replace("train.seed = 11", "train.seed = 12"))
+    assert main(["train", str(cfg)]) == 4
+    assert len(written) == 2
+    with pytest.raises(StorageError):
+        load_run(out / "run.manifest")
+    assert main(["ensemble", "--manifest", str(out / "run.manifest"),
+                 "--data", str(out / "test.csv")]) == 4
+
+
+def test_save_that_cannot_remove_the_old_manifest_writes_nothing(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert train_cycles(tmp_path, out, 3) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def refuse(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr("os.remove", refuse)
+    assert train_cycles(tmp_path, out, 2) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", [["ensemble", "--m", "2"], ["ensemble"], ["curve"]])

@@ -130,6 +130,13 @@ def test_load_csv_missing_label_column(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_non_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"f0,f1,label\n1.0,2.0,0\n1.0,2\xe9,1\n")
+    with pytest.raises(FormatError, match="latin1.csv.*not UTF-8"):
+        load_csv(path)
+
+
 def test_load_idx_reads_known_bytes(tmp_path):
     images = np.array(
         [[[0, 51], [102, 255]], [[255, 0], [17, 34]]], dtype=np.uint8
@@ -164,6 +171,14 @@ def test_load_idx_bad_magic(tmp_path):
     (tmp_path / "im.idx").write_bytes(b"\x00\x00\x08\x99" + b"\x00" * 12)
     (tmp_path / "lb.idx").write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x00")
     with pytest.raises(FormatError, match="magic"):
+        load_idx(tmp_path / "im.idx", tmp_path / "lb.idx")
+
+
+def test_load_idx_with_no_images_is_a_format_error(tmp_path):
+    images = np.zeros((0, 2, 2), dtype=np.uint8)
+    labels = np.zeros(0, dtype=np.uint8)
+    write_idx_pair(tmp_path / "im.idx", tmp_path / "lb.idx", images, labels)
+    with pytest.raises(FormatError, match="im.idx.*no images"):
         load_idx(tmp_path / "im.idx", tmp_path / "lb.idx")
 
 

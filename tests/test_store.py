@@ -147,6 +147,34 @@ def test_manifest_requires_at_least_one_snapshot(tmp_path):
         read_manifest(tmp_path / "bad.manifest")
 
 
+def test_non_utf8_snapshot_header_is_a_format_error(tmp_path):
+    path = tmp_path / "snap_001.snap"
+    write_snapshot(make_record(), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"activation=relu", b"activation=rel\xff", 1))
+    with pytest.raises(FormatError, match="snap_001.snap.*not UTF-8"):
+        read_snapshot(path)
+
+
+def test_non_utf8_manifest_is_a_format_error(tmp_path):
+    write_snapshot(make_record(), tmp_path / "snap_001.snap")
+    path = tmp_path / "run.manifest"
+    write_manifest(ManifestFile(DIGEST, ("snap_001.snap",)), path)
+    path.write_bytes(path.read_bytes() + b"snapshot=snap_\xe9.snap\n")
+    with pytest.raises(FormatError, match="run.manifest.*not UTF-8"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("line", ["format_version=1", f"config_digest={bytes(16).hex()}"])
+def test_repeated_manifest_field_is_a_format_error(tmp_path, line):
+    write_snapshot(make_record(), tmp_path / "snap_001.snap")
+    path = tmp_path / "run.manifest"
+    write_manifest(ManifestFile(DIGEST, ("snap_001.snap",)), path)
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(FormatError, match="run.manifest.*duplicate manifest field"):
+        read_manifest(path)
+
+
 def test_load_run_reads_records_in_order(tmp_path):
     names = ("snap_001.snap", "snap_002.snap")
     for i, name in enumerate(names, start=1):

@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 import pathlib
 
+import snapens.cli
+from snapens.data import save_csv
+from snapens.trainer import save_run
+
 INPROC = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inproc.py"
 
 
@@ -27,3 +31,33 @@ def test_every_trace_target_resolves():
         if not callable(getattr(importlib.import_module(f"snapens.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moons200, tmp_path, monkeypatch):
+    _, manifest = tiny_run
+    assert len(manifest.snapshots) == 4
+    manifest_path = save_run(manifest, tmp_path / "run")
+    data = tmp_path / "data.csv"
+    save_csv(moons200, data)
+
+    inproc = load_inproc()
+    modules = {
+        name: importlib.import_module(f"snapens.{name}")
+        for name in ("cli", "config", "trainer", "store", "ensemble", "analysis")
+    }
+    for module, attr, *_ in inproc.SPANS + inproc.COUNTS:
+        monkeypatch.setattr(modules[module], attr, getattr(modules[module], attr))  # undone at teardown
+    tracer = inproc.Tracer()
+    tracer.install(modules)
+
+    inputs = ["--manifest", manifest_path, "--data", str(data)]
+    commands = {
+        "ensemble": ["ensemble", *inputs, "--out", str(tmp_path / "sweep.csv")],
+        "ensemble_m2": ["ensemble", *inputs, "--m", "2", "--out", str(tmp_path / "m2.csv")],
+        "curve": ["curve", *inputs, "--out", str(tmp_path / "curve.csv")],
+        "correlate": ["correlate", *inputs, "--out", str(tmp_path / "corr")],
+    }
+    for label, argv in commands.items():
+        assert tracer.run_command(label, lambda: snapens.cli.main(argv)) == 0
+    predicts = {label: tracer.command_calls[label]["ensemble.predict"] for label in commands}
+    assert predicts == {"ensemble": 4, "ensemble_m2": 2, "curve": 4, "correlate": 4}
