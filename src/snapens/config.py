@@ -76,18 +76,22 @@ class ExperimentConfig:
 def _parse_kv_lines(path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
     return values
 
 

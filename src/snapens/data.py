@@ -10,6 +10,8 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,6 +19,12 @@ from .errors import FormatError, InputError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# Cells per block in save_csv/load_csv: each block converts its distinct values
+# once. A block's cell texts stay alive until it is converted, about 1 MB of
+# strings at 16,384 cells.
+CSV_BLOCK_CELLS = 16_384
+# load_csv converts a block cell by cell when over half of its first cells differ.
+_DISTINCT_SAMPLE_CELLS = 1_024
 
 
 @dataclass
@@ -129,17 +137,36 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write `f0,...,f{d-1},label` rows; floats round-trip exactly via repr.
 
     The bytes equal `csv.writer`'s (CRLF line ends; no cell needs quoting).
-    Rows convert to Python floats one at a time, so memory stays flat.
+    Rows go out in blocks of about `CSV_BLOCK_CELLS` cells, so memory stays
+    flat, and each distinct float64 bit pattern in a block is formatted
+    once (bit patterns, not values, so -0.0 and 0.0 keep their own text).
     """
-    d = dataset.inputs.shape[1]
+    inputs = dataset.inputs
+    n, d = inputs.shape
+    step = max(1, CSV_BLOCK_CELLS // d)
+    labels = dataset.labels.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n")
-        for row, label in zip(dataset.inputs, dataset.labels.tolist()):
-            fh.write(",".join(map(repr, row.tolist())) + f",{label}\r\n")
+        for start in range(0, n, step):
+            bits = inputs[start : start + step].view(np.uint64)
+            distinct, codes = np.unique(bits, return_inverse=True)
+            texts = list(map(repr, distinct.view(np.float64).tolist()))
+            cells = list(map(texts.__getitem__, codes.ravel().tolist()))
+            fh.write("".join(
+                f"{','.join(cells[k : k + d])},{label}\r\n"
+                for k, label in zip(range(0, len(cells), d), labels[start : start + step])
+            ))
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:
-    """Read a numeric CSV with a header; `label_column` holds integer classes."""
+    """Read a numeric CSV with a header; `label_column` holds integer classes.
+
+    Rows convert in blocks of about `CSV_BLOCK_CELLS` cells, each distinct
+    cell text through `float()` once (or, in a block whose texts are mostly
+    distinct, each cell). Faults are reported as a row-by-row read would
+    meet them: the first faulty row wins, and within a row the cell count
+    comes first, then the label, then the first non-numeric feature.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(fh, path)
         try:
@@ -149,29 +176,68 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         if label_column not in header:
             raise FormatError(f"{path}: missing column {label_column!r}")
         label_idx = header.index(label_column)
-        feature_idx = [j for j in range(len(header)) if j != label_idx]
-        inputs = []
+        step = max(1, CSV_BLOCK_CELLS // len(header))
+        blocks = []
         labels = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-            try:
-                labels.append(int(row[label_idx]))
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {i}, column {label_column!r}: not an integer label"
-                ) from None
-            try:
-                inputs.append([float(row[j]) for j in feature_idx])
-            except ValueError:
-                bad = next(j for j in feature_idx if not _is_float(row[j]))
-                raise FormatError(
-                    f"{path}: row {i}, column {header[bad]!r}: not numeric"
-                ) from None
+        block = []
+        try:
+            for row in reader:
+                block.append(row)
+                if len(block) == step:
+                    blocks.append(_parse_rows(block, len(labels) + 2, header, label_idx, labels, path))
+                    block = []
+        except FormatError:
+            # a fault in a row read before the bad CSV syntax is reported first
+            _parse_rows(block, len(labels) + 2, header, label_idx, labels, path)
+            raise
+    if block:
+        blocks.append(_parse_rows(block, len(labels) + 2, header, label_idx, labels, path))
     if not labels:
         raise FormatError(f"{path}: no data rows")
     labels = np.array(labels, np.int64)
-    return Dataset(np.array(inputs, np.float64), labels, int(labels.max()) + 1)
+    return Dataset(np.concatenate(blocks), labels, int(labels.max()) + 1)
+
+
+def _parse_rows(rows, first_row, header, label_idx, labels, path) -> np.ndarray:
+    """Feature matrix of `rows` (file rows from `first_row` on); appends their
+    labels to `labels`. The label cells go through `float()` with the rest
+    (a text `int()` accepts, `float()` accepts) and are dropped after."""
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        _raise_first_fault(rows, first_row, header, label_idx, path)
+    try:
+        block_labels = list(map(int, map(itemgetter(label_idx), rows)))
+        cells = list(chain.from_iterable(rows))
+        sample = cells[:_DISTINCT_SAMPLE_CELLS]
+        if 2 * len(set(sample)) > len(sample):
+            # mostly distinct texts: a table would cost more than it saves
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        else:
+            table = dict.fromkeys(cells)
+            table = dict(zip(table, map(float, table)))
+            values = np.fromiter(map(table.__getitem__, cells), np.float64, len(cells))
+    except ValueError:
+        _raise_first_fault(rows, first_row, header, label_idx, path)
+        raise
+    labels += block_labels
+    return np.delete(values.reshape(len(rows), width), label_idx, axis=1)
+
+
+def _raise_first_fault(rows, first_row, header, label_idx, path) -> None:
+    """Check `rows` one by one as a row-by-row reader would and raise the
+    FormatError of the first fault."""
+    for i, row in enumerate(rows, start=first_row):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        try:
+            int(row[label_idx])
+        except ValueError:
+            raise FormatError(
+                f"{path}: row {i}, column {header[label_idx]!r}: not an integer label"
+            ) from None
+        for j, cell in enumerate(row):
+            if j != label_idx and not _is_float(cell):
+                raise FormatError(f"{path}: row {i}, column {header[j]!r}: not numeric")
 
 
 def _csv_rows(fh, path):

@@ -82,6 +82,14 @@ def test_train_missing_key_exits_2_naming_it(tmp_path, capsys):
     assert "schedule.cycles" in capsys.readouterr().err
 
 
+def test_train_non_utf8_config_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\n" + MOONS_CFG.format(out=tmp_path / "r").encode())
+    assert main(["train", str(cfg)]) == 2
+    assert "latin1.cfg: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_label_the_model_cannot_score_exits_2(tmp_path, capsys):
     cfg = tmp_path / "blobs.cfg"
     text = MOONS_CFG.format(out=tmp_path / "r").replace("data.source = two_moons", "data.source = blobs")

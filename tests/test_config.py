@@ -170,3 +170,10 @@ def test_csv_source_requires_path(tmp_path):
 def test_malformed_line_rejected(tmp_path):
     with pytest.raises(ConfigError, match="key = value"):
         parse_config(write(tmp_path, GOOD + "just some words\n"))
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# r\xe9sum\xe9 of the spiral run\n" + GOOD.encode())
+    with pytest.raises(ConfigError, match=r"latin1.cfg.*not UTF-8"):
+        parse_config(path)

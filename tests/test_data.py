@@ -86,20 +86,108 @@ def test_spirals_round_trip_through_csv_exactly(tmp_path):
     assert back.class_count == ds.class_count
 
 
+def _csv_writer_bytes(ds: Dataset, path) -> bytes:
+    """Reference `save_csv` bytes: one `repr` per cell through `csv.writer`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(ds.inputs.shape[1])] + ["label"])
+        for row, label in zip(ds.inputs, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    return path.read_bytes()
+
+
 def test_save_csv_bytes_match_csv_writer(tmp_path):
     spirals = gen_spirals(200, 2.0, 0.08, seed=7)
     extremes = np.array([[-0.0, 5e-324], [1e22, -1.5e-07], [0.1, 1.0], [-1e-300, 123456789.0]])
     ds = Dataset(np.vstack([spirals.inputs, extremes]), np.append(spirals.labels, [1, 0, 1, 0]), 2)
-    reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["f0", "f1", "label"])
-        for row, label in zip(ds.inputs, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
     path = tmp_path / "saved.csv"
     save_csv(ds, path)
-    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes() == _csv_writer_bytes(ds, tmp_path / "reference.csv")
     assert load_csv(path).inputs.tobytes() == ds.inputs.tobytes()
+
+
+def test_save_csv_keeps_signed_zeros_and_extremes_apart_across_blocks(tmp_path):
+    # one column: -0.0 before 0.0 in the first rows, 0.0 before -0.0 at the
+    # end, and 140,000 rows: several blocks of any block size up to 65,536 cells
+    column = np.tile([0.25, 5e-324, 1e22, 0.5], 35_000)
+    column[:4] = (-0.0, 0.0, 5e-324, 1e22)
+    column[-3:] = (0.0, -0.0, 0.0)
+    ds = Dataset(column[:, None], np.arange(column.size) % 3, 3)
+    path = tmp_path / "saved.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == _csv_writer_bytes(ds, tmp_path / "reference.csv")
+    cells = [line.split(b",")[0] for line in path.read_bytes().split(b"\r\n")]
+    assert cells[1:5] == [b"-0.0", b"0.0", b"5e-324", b"1e+22"]
+    assert cells[-4:-1] == [b"0.0", b"-0.0", b"0.0"]
+    back = load_csv(path)
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert np.signbit(back.inputs[[0, -2], 0]).all()
+
+
+def test_load_csv_duplicate_heavy_file_round_trips_bit_exact(tmp_path):
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, (400, 300)).astype(np.float64) / 255.0
+    pixels[::7, ::5] = -0.0
+    ds = Dataset(pixels, rng.integers(0, 10, 400), 10)  # 120,000 cells, 121 distinct
+    path = tmp_path / "pixels.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == _csv_writer_bytes(ds, tmp_path / "reference.csv")
+    back = load_csv(path)
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    np.testing.assert_array_equal(back.labels, ds.labels)
+    assert back.class_count == int(ds.labels.max()) + 1
+
+
+def _faulty_csv(path, width, faults, distinct):
+    """`width` feature columns and 300 good rows, then `faults` maps a
+    1-based file row (the header is row 1) to the row's replacement cells.
+    Good rows repeat one row, or with `distinct` hold no value twice."""
+    rows = [[f"f{j}" for j in range(width)] + ["label"]]
+    rows += [
+        [repr(i * width + j + 0.5 if distinct else j / 8) for j in range(width)] + [str(i % 2)]
+        for i in range(300)
+    ]
+    for row, cells in faults.items():
+        rows[row - 1] = cells
+    path.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    return path
+
+
+def _with(width, **cells):
+    row = [repr(j / 8) for j in range(width)] + ["1"]
+    for key, text in cells.items():
+        row[width if key == "label" else int(key[1:])] = text
+    return row
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("width", [2, 784])
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # a bad feature in an early row wins over a bad label in a later one,
+        # in the same block and blocks apart
+        (lambda w: {3: _with(w, f1="oops"), 5: _with(w, label="x")}, r"row 3, column 'f1': not numeric"),
+        (lambda w: {3: _with(w, f1="oops"), 250: _with(w, label="x")}, r"row 3, column 'f1'"),
+        (lambda w: {5: _with(w, f1="oops"), 3: _with(w, label="x")}, r"row 3, column 'label'"),
+        # within one row: the label is checked before the features
+        (lambda w: {4: _with(w, f0="nan?", label="1.5")}, r"row 4, column 'label': not an integer"),
+        # the first non-numeric column of a row is named
+        (lambda w: {4: _with(w, f1="b", f0="a")}, r"row 4, column 'f0'"),
+        # a short row and a bad cell: whichever row comes first
+        (lambda w: {3: _with(w, f1="oops"), 4: ["1.0", "0"]}, r"row 3, column 'f1'"),
+        (lambda w: {3: ["1.0", "0"], 4: _with(w, f1="oops")}, r"row 3 has 2 cells"),
+        # within one row: the cell count is checked before the label
+        (lambda w: {6: ["oops", "x"]}, r"row 6 has 2 cells"),
+        # a bad cell and a line the CSV reader rejects: whichever comes first
+        (lambda w: {3: _with(w, f1="oops"), 5: _with(w, f0="9" * 140_000)}, r"row 3, column 'f1'"),
+        (lambda w: {5: _with(w, f1="oops"), 3: _with(w, f0="9" * 140_000)}, r"line 3: field larger"),
+    ],
+)
+def test_load_csv_reports_the_first_fault(tmp_path, width, distinct, faults, message):
+    path = _faulty_csv(tmp_path / "faulty.csv", width, faults(width), distinct)
+    with pytest.raises(FormatError, match=message):
+        load_csv(path)
 
 
 def test_blobs_with_zero_spread_are_nearest_centroid_separable():
@@ -121,6 +209,14 @@ def test_load_csv_reports_bad_cell_position(tmp_path):
     path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,oops,1\n")
     with pytest.raises(FormatError, match=r"row 3.*f1"):
         load_csv(path)
+
+
+def test_load_csv_takes_the_label_from_any_column(tmp_path):
+    path = tmp_path / "middle.csv"
+    path.write_text("a,y,b\n0.5,1,-0.0\n2,0,3e-5\n")
+    ds = load_csv(path, label_column="y")
+    assert ds.inputs.tobytes() == np.array([[0.5, -0.0], [2.0, 3e-5]]).tobytes()
+    np.testing.assert_array_equal(ds.labels, [1, 0])
 
 
 def test_load_csv_missing_label_column(tmp_path):

@@ -3,18 +3,23 @@
 Each entry maps a recipe under `recipes/` to two blake2b-8 digests: one of
 the concatenated float64 bytes of its snapshot parameters, one of the repr
 of its per-epoch losses and epoch-end learning rates (what `loss.csv`
-holds). A change that moves either digest changes what `train` writes; if
-that is intended, record it and re-pin the table.
+holds). `GOLDEN_CSV` pins the `save_csv` bytes of each recipe's train and
+test split (what `train.csv` and `test.csv` hold). A change that moves any
+digest changes what `train` writes; if that is intended, record it and
+re-pin the table.
 """
 import hashlib
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import subprocess_env
 from snapens.config import build_datasets, parse_config, resolve_train_config
+from snapens.data import Dataset, save_csv
 from snapens.trainer import config_digest, train
 
 RECIPES = Path(__file__).resolve().parents[1] / "recipes"
@@ -45,6 +50,12 @@ GOLDEN = {
     "vary_cycles/m08.cfg": ("84db721679846d16", "a22b63b5b68f1e17"),
     "vary_cycles/m10.cfg": ("1becacca06863f38", "72ede99fdcf13dd7"),
 }
+
+# Every recipe reads the same spirals source (n=2000, seed 0, half for
+# training, split seed 0), so all of them share one (train.csv, test.csv) pair.
+SPIRALS_CSV = ("9bd769b4f10a8d64", "69b4c8141a3842f9")
+GOLDEN_CSV = dict.fromkeys(GOLDEN, SPIRALS_CSV)
+GOLDEN_IDX_CSV = "48505977a5bd6f95"
 
 DIGEST_SCRIPT = """
 import hashlib, sys
@@ -83,6 +94,24 @@ def run_digests(recipe: Path) -> tuple[str, str]:
     return _TRAINED[key]
 
 
+def csv_digest(dataset: Dataset) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.csv"
+        save_csv(dataset, path)
+        return _digest(path.read_bytes())
+
+
+def idx_style_dataset() -> Dataset:
+    """Seeded 300-image, 784-pixel set scaled as `load_idx` scales it
+    (uint8 / 255), holding both 0.0 and 1.0; its CSV spans several blocks."""
+    rng = np.random.default_rng(20170401)
+    pixels = rng.integers(0, 256, (300, 784), dtype=np.uint8)
+    pixels[0, :2] = (0, 255)
+    labels = rng.integers(0, 10, 300)
+    labels[0] = 9
+    return Dataset(pixels.astype(np.float64) / 255.0, labels, 10)
+
+
 def test_golden_table_covers_every_recipe():
     found = sorted(p.relative_to(RECIPES).as_posix() for p in RECIPES.rglob("*.cfg"))
     assert found == sorted(GOLDEN)
@@ -91,6 +120,16 @@ def test_golden_table_covers_every_recipe():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_recipe_bytes_match_golden(name):
     assert run_digests(RECIPES / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_recipe_csv_bytes_match_golden(name):
+    train_set, test_set = build_datasets(parse_config(RECIPES / name))
+    assert (csv_digest(train_set), csv_digest(test_set)) == GOLDEN_CSV[name]
+
+
+def test_idx_style_csv_bytes_match_golden():
+    assert csv_digest(idx_style_dataset()) == GOLDEN_IDX_CSV
 
 
 def test_snapshot_bytes_do_not_depend_on_blas_threads():
