@@ -6,9 +6,11 @@ of its per-epoch losses and epoch-end learning rates (what `loss.csv`
 holds). `GOLDEN_CSV` pins the `save_csv` bytes of each recipe's train and
 test split (what `train.csv` and `test.csv` hold). A change that moves any
 digest changes what `train` writes; if that is intended, record it and
-re-pin the table.
+re-pin the table. `GOLDEN_EVAL` pins the bytes the eval commands write on
+two trained runs, so it guards the eval path the same way.
 """
 import hashlib
+import struct
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
+from snapens.cli import main
 from snapens.config import build_datasets, parse_config, resolve_train_config
 from snapens.data import Dataset, save_csv
 from snapens.trainer import config_digest, train
@@ -59,6 +62,7 @@ GOLDEN_IDX_CSV = "48505977a5bd6f95"
 
 DIGEST_SCRIPT = """
 import hashlib, sys
+from snapens.cli import main
 from snapens.config import build_datasets, parse_config, resolve_train_config
 from snapens.trainer import train
 cfg = parse_config(sys.argv[1])
@@ -144,3 +148,92 @@ def test_snapshot_bytes_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests == [GOLDEN["baselines/snapshot.cfg"][0]] * 2
+
+
+# blake2b-8 of what each eval command writes (a file, or a directory's files
+# in name order). `error_curve` is recipes/error_curve.cfg: 2-64-64-2 on
+# 1 000 test rows. `idx_style` trains 784-32-32-10 on a seeded IDX pair of
+# 1 200 images, half of them test rows.
+GOLDEN_EVAL = {
+    "error_curve": {
+        "ensemble": "73049d24e4cca142",
+        "ensemble_m": "56413e0e85bdf224",
+        "curve": "f18521770fc027e3",
+        "correlate": "be13bef03f6a7ecb",
+        "interpolate": "c2aa619a25ce7936",
+    },
+    "idx_style": {
+        "ensemble": "5d6a1c947eb7b282",
+        "ensemble_m": "d6f180f6cd3c3e13",
+        "curve": "2840b5be8f888352",
+        "correlate": "3ae1735239ebf08c",
+        "interpolate": "6213628347c4c1ea",
+    },
+}
+
+
+def tree_digest(path: Path) -> str:
+    files = sorted(path.iterdir()) if path.is_dir() else [path]
+    return _digest(b"".join(f.name.encode() + b"\0" + f.read_bytes() for f in files))
+
+
+def eval_output_digests(run_dir: Path, out: Path) -> dict[str, str]:
+    inputs = ["--manifest", str(run_dir / "run.manifest"), "--data", str(run_dir / "test.csv")]
+    commands = {
+        "ensemble": ["ensemble"],
+        "ensemble_m": ["ensemble", "--m", "3"],
+        "curve": ["curve"],
+        "correlate": ["correlate"],
+        "interpolate": ["interpolate", "--against-final", "--points", "11"],
+    }
+    digests = {}
+    for name, (command, *options) in commands.items():
+        assert main([command, *inputs, *options, "--out", str(out / name)]) == 0
+        digests[name] = tree_digest(out / name)
+    return digests
+
+
+def write_idx_style_pair(directory: Path) -> tuple[Path, Path]:
+    """Seeded 1 200 noisy 28x28 uint8 images of 10 classes; each class
+    brightens its own 7x7 tile."""
+    rng = np.random.default_rng(20170402)
+    pixels = rng.integers(0, 150, (1200, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, 1200).astype(np.uint8)
+    for k in range(10):
+        rows = labels == k
+        pixels[rows, (k // 4) * 7 : (k // 4) * 7 + 7, (k % 4) * 7 : (k % 4) * 7 + 7] += 105
+    images, label_file = directory / "images.idx", directory / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 1200, 28, 28) + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x00000801, 1200) + labels.tobytes())
+    return images, label_file
+
+
+IDX_STYLE_CFG = """\
+model.layers = 784,32,32,10
+schedule.kind = cyclic_cosine
+schedule.alpha0 = 0.1
+schedule.cycles = 4
+train.mode = snapshot
+train.epochs = 8
+train.batch_size = 64
+train.seed = 7
+data.source = idx
+data.params = images={images},labels={labels},train_fraction=0.5,split_seed=3
+output.dir = {out}
+"""
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVAL))
+def test_eval_output_bytes_match_golden(name, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    run_dir = tmp_path / "run"
+    if name == "error_curve":
+        text = (RECIPES / "error_curve.cfg").read_text()
+        cfg.write_text(text.replace("output.dir = runs/error_curve", f"output.dir = {run_dir}"))
+    else:
+        images, labels = write_idx_style_pair(tmp_path)
+        cfg.write_text(IDX_STYLE_CFG.format(images=images, labels=labels, out=run_dir))
+    assert main(["train", str(cfg)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    assert eval_output_digests(run_dir, out) == GOLDEN_EVAL[name]

@@ -9,6 +9,7 @@ from oracles import fd_gradient, fd_relative_error, oracle_error_rate
 from snapens.errors import InputError
 from snapens.nn import (
     Batch,
+    _forward_cached,
     ModelSpec,
     Workspace,
     evaluate_error,
@@ -113,6 +114,50 @@ def test_forward_dropout_is_seed_deterministic_and_eval_free():
     np.testing.assert_array_equal(
         forward(spec, params, batch, "eval", 1), forward(spec, params, batch, "eval", 2)
     )
+
+
+def _trained_like(sizes, rows, seed):
+    """Spec, perturbed parameters and a batch of random inputs."""
+    spec = ModelSpec(sizes)
+    rng = np.random.default_rng(seed)
+    params = 1.3 * init_params(spec, seed) + rng.normal(0.0, 0.05, param_count(spec))
+    return spec, params, Batch(rng.normal(size=(rows, sizes[0])), np.zeros(rows, int))
+
+
+def _full_batch_probabilities(spec, params, batch):
+    logits, *_ = _forward_cached(layer_views(spec, params), batch.inputs, 0.0, 0)
+    return softmax(logits)
+
+
+@pytest.mark.parametrize(
+    "sizes, rows",
+    [((2, 64, 64, 2), 1), ((2, 64, 64, 2), 1000), ((2, 64, 64, 2), 6000), ((784, 256, 256, 10), 250)],
+)
+def test_eval_forward_equals_full_batch_bit_for_bit(sizes, rows):
+    spec, params, batch = _trained_like(sizes, rows, 31)
+    blocked = softmax(forward(spec, params, batch))
+    assert blocked.tobytes() == _full_batch_probabilities(spec, params, batch).tobytes()
+
+
+# On OpenBLAS 0.3.31 a gemm over a short final block can round differently
+# from the same rows inside one full-batch gemm: these shapes differ in the
+# last bits of some probabilities, never in an argmax seen so far.
+@pytest.mark.parametrize(
+    "sizes, rows", [((2, 64, 64, 2), 513), ((784, 256, 256, 10), 513), ((784, 256, 256, 10), 1100)]
+)
+def test_eval_forward_matches_full_batch_to_the_last_bits(sizes, rows):
+    spec, params, batch = _trained_like(sizes, rows, 32)
+    blocked = softmax(forward(spec, params, batch))
+    full = _full_batch_probabilities(spec, params, batch)
+    np.testing.assert_array_equal(blocked.argmax(axis=1), full.argmax(axis=1))
+    np.testing.assert_allclose(blocked, full, rtol=1e-12, atol=0)
+
+
+def test_train_forward_with_dropout_keeps_the_full_batch_mask_stream():
+    spec = ModelSpec((2, 16, 16, 2), dropout_rate=0.3)
+    _, params, batch = _trained_like((2, 16, 16, 2), 1100, 33)
+    logits, *_ = _forward_cached(layer_views(spec, params), batch.inputs, 0.3, 77)
+    assert forward(spec, params, batch, "train", dropout_seed=77).tobytes() == logits.tobytes()
 
 
 def test_softmax_symmetric_and_constant_rows():
