@@ -35,8 +35,15 @@ def interpolate(
     theta2: ParamVector,
     dataset,
     lambda_grid: np.ndarray | None = None,
+    theta1_error: float | None = None,
+    theta2_error: float | None = None,
 ) -> InterpolationCurve:
-    """Evaluate test error at every convex combination on the lambda grid."""
+    """Evaluate test error at every convex combination on the lambda grid.
+
+    A caller that already knows the test error of theta1 or theta2 on
+    `dataset` passes it in, and the lam=1 or lam=0 point takes it instead of
+    a forward pass.
+    """
     theta1 = np.asarray(theta1, dtype=np.float64)
     theta2 = np.asarray(theta2, dtype=np.float64)
     if theta1.shape != theta2.shape:
@@ -52,12 +59,12 @@ def interpolate(
     errors = np.empty_like(grid)
     for i, lam in enumerate(grid):
         if lam == 0.0:
-            mixed = theta2
+            mixed, known = theta2, theta2_error
         elif lam == 1.0:
-            mixed = theta1
+            mixed, known = theta1, theta1_error
         else:
-            mixed = lam * theta1 + (1.0 - lam) * theta2
-        errors[i] = evaluate_error(spec, mixed, dataset)
+            mixed, known = lam * theta1 + (1.0 - lam) * theta2, None
+        errors[i] = evaluate_error(spec, mixed, dataset) if known is None else known
     return InterpolationCurve(grid, errors)
 
 

@@ -67,9 +67,12 @@ def run_experiment(config_path):
     cfg = parse_config(config_path)
     train_set, test_set = build_datasets(cfg)
     manifest = train(resolve_train_config(cfg, len(train_set)), train_set)
-    manifest_path = save_run(manifest, cfg.output_dir)
-    save_csv(train_set, os.path.join(cfg.output_dir, TRAIN_CSV_NAME))
-    save_csv(test_set, os.path.join(cfg.output_dir, TEST_CSV_NAME))
+
+    def write_splits():
+        save_csv(train_set, os.path.join(cfg.output_dir, TRAIN_CSV_NAME))
+        save_csv(test_set, os.path.join(cfg.output_dir, TEST_CSV_NAME))
+
+    manifest_path = save_run(manifest, cfg.output_dir, write_splits)
     return cfg, manifest, test_set, manifest_path
 
 
@@ -81,8 +84,16 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args):
-    """The snapshots `--manifest` names and the dataset in `--data`."""
-    return load_run(args.manifest), load_csv(args.data)
+    """The snapshots `--manifest` names and the dataset in `--data`, whose
+    feature count must be the snapshots' input size."""
+    records, dataset = load_run(args.manifest), load_csv(args.data)
+    expected = records[0].spec.layer_sizes[0]
+    if dataset.inputs.shape[1] != expected:
+        raise InputError(
+            f"{args.data}: {dataset.inputs.shape[1]} feature columns, "
+            f"but the snapshots take {expected} inputs"
+        )
+    return records, dataset
 
 
 def cmd_ensemble(args) -> int:
@@ -127,6 +138,7 @@ def cmd_interpolate(args) -> int:
             raise InputError("--against-final needs a run with at least two snapshots")
     grid = default_lambda_grid(args.points)
     os.makedirs(args.out, exist_ok=True)
+    scored = {}  # snapshot index -> its test error, so each endpoint is scored once
     for i, j in pairs:
         _check_snapshot_index(i, count)
         _check_snapshot_index(j, count)
@@ -136,7 +148,13 @@ def cmd_interpolate(args) -> int:
             records[j - 1].params,
             dataset,
             grid,
+            scored.get(i),
+            scored.get(j),
         )
+        if grid[-1] == 1.0:
+            scored[i] = curve.errors[-1]
+        if grid[0] == 0.0:
+            scored[j] = curve.errors[0]
         out = os.path.join(args.out, f"interp_{i:03d}_{j:03d}.csv")
         _write_rows(
             out,

@@ -16,6 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import FormatError, InputError
+from .store import write_atomically
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -140,22 +141,26 @@ def save_csv(dataset: Dataset, path) -> None:
     Rows go out in blocks of about `CSV_BLOCK_CELLS` cells, so memory stays
     flat, and each distinct float64 bit pattern in a block is formatted
     once (bit patterns, not values, so -0.0 and 0.0 keep their own text).
+    The file is written atomically: a failed write leaves the old file.
     """
     inputs = dataset.inputs
     n, d = inputs.shape
     step = max(1, CSV_BLOCK_CELLS // d)
     labels = dataset.labels.tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n")
+
+    def chunks():
+        yield (",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n").encode()
         for start in range(0, n, step):
             bits = inputs[start : start + step].view(np.uint64)
             distinct, codes = np.unique(bits, return_inverse=True)
             texts = list(map(repr, distinct.view(np.float64).tolist()))
             cells = list(map(texts.__getitem__, codes.ravel().tolist()))
-            fh.write("".join(
+            yield "".join(
                 f"{','.join(cells[k : k + d])},{label}\r\n"
                 for k, label in zip(range(0, len(cells), d), labels[start : start + step])
-            ))
+            ).encode()
+
+    write_atomically(path, chunks(), "CSV")
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:

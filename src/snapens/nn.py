@@ -21,6 +21,9 @@ GradVector = np.ndarray
 
 MODES = ("train", "eval")
 
+# Rows per block of the eval forward pass; see `forward`.
+EVAL_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -125,11 +128,15 @@ def _check_mode(mode: str) -> None:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _forward_cached(layers, inputs, drop, dropout_seed):
-    """Forward pass keeping pre-activations, activations and dropout masks."""
+def _check_features(layers, inputs) -> None:
     n_in = layers[0][0].shape[0]
     if inputs.shape[1] != n_in:
         raise InputError(f"inputs have {inputs.shape[1]} features, spec expects {n_in}")
+
+
+def _forward_cached(layers, inputs, drop, dropout_seed):
+    """Forward pass keeping pre-activations, activations and dropout masks."""
+    _check_features(layers, inputs)
     rng = np.random.default_rng(dropout_seed) if drop > 0.0 else None
     keep = 1.0 - drop
 
@@ -163,10 +170,40 @@ def forward(
     mode: str = "eval",
     dropout_seed: int = 0,
 ) -> np.ndarray:
-    """Logits matrix (batch_size x K). Eval mode is deterministic and dropout-free."""
+    """Logits matrix (batch_size x K). Eval mode is deterministic and dropout-free.
+
+    Rows go through in blocks of EVAL_BLOCK_ROWS, the last one shorter. Each
+    layer writes into one block-sized buffer, allocated once per call and
+    reused by every block, so a large batch does not fault in fresh
+    full-batch activation arrays on every call. The float ops per row are
+    those of `loss_and_grad`'s forward pass. Train mode with dropout runs the
+    whole batch as one block, so its masks are those `loss_and_grad` draws
+    for the same seed.
+    """
     _check_mode(mode)
     drop = spec.dropout_rate if mode == "train" else 0.0
-    logits, *_ = _forward_cached(layer_views(spec, params), batch.inputs, drop, dropout_seed)
+    layers = layer_views(spec, params)
+    inputs = batch.inputs
+    _check_features(layers, inputs)
+    n = len(batch)
+    block = max(n, 1) if drop > 0.0 else EVAL_BLOCK_ROWS
+    rng = np.random.default_rng(dropout_seed) if drop > 0.0 else None
+    keep = 1.0 - drop
+    hidden = [np.empty((min(n, block), w.shape[1])) for w, _ in layers[:-1]]
+    logits = np.empty((n, spec.class_count))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        a = inputs[start:stop]
+        for i, (w, b) in enumerate(layers):
+            z = hidden[i][: stop - start] if i < len(hidden) else logits[start:stop]
+            np.matmul(a, w, out=z)
+            z += b
+            if i < len(hidden):
+                np.maximum(z, 0.0, out=z)
+                if drop > 0.0:
+                    z *= rng.random(z.shape) < keep
+                    z /= keep
+            a = z
     return logits
 
 
@@ -253,9 +290,8 @@ def evaluate_error(spec: ModelSpec, params: ParamVector, dataset) -> float:
 
     `dataset` is anything with `inputs` and `labels` attributes (Dataset or Batch).
     """
-    inputs = np.asarray(dataset.inputs, dtype=np.float64)
-    if inputs.shape[0] == 0:
+    batch = Batch(dataset.inputs, dataset.labels)
+    if len(batch) == 0:
         raise InputError("evaluate_error needs a nonempty dataset")
-    labels = check_labels(spec, dataset.labels)
-    logits, *_ = _forward_cached(layer_views(spec, params), inputs, 0.0, 0)
-    return error_rate(softmax(logits), labels)
+    labels = check_labels(spec, batch.labels)
+    return error_rate(softmax(forward(spec, params, batch)), labels)

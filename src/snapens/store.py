@@ -52,7 +52,12 @@ class SnapshotRecord:
             raise FormatError("config_digest must be 16 bytes")
 
 
-def _write_atomically(path, chunks, what: str) -> None:
+def write_atomically(path, chunks, what: str) -> None:
+    """Write byte chunks to `<path>.tmp`, then rename it over `path`.
+
+    On failure the temp file is removed and `path` keeps its old bytes; the
+    OSError becomes a StorageError naming `what` and the path.
+    """
     tmp_path = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp_path, "wb") as fh:
@@ -79,7 +84,7 @@ def write_snapshot(record: SnapshotRecord, path) -> None:
         ]
     )
     payload = record.params.astype("<f8", copy=False).tobytes()
-    _write_atomically(path, (header.encode("utf-8"), b"\n\n", payload), "snapshot")
+    write_atomically(path, (header.encode("utf-8"), b"\n\n", payload), "snapshot")
 
 
 def _parse_header(text: str, path) -> dict[str, str]:
@@ -161,7 +166,7 @@ def write_manifest(manifest: ManifestFile, path) -> None:
         raise FormatError("a run manifest needs at least one snapshot")
     lines = [f"format_version={FORMAT_VERSION}", f"config_digest={manifest.config_digest.hex()}"]
     lines += [f"snapshot={name}" for name in manifest.snapshot_files]
-    _write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),), "manifest")
+    write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),), "manifest")
 
 
 def read_manifest(path) -> ManifestFile:

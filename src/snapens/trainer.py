@@ -243,12 +243,13 @@ def _snapshot_name(index: int) -> str:
     return f"snap_{index:03d}.snap"
 
 
-def save_run(manifest: RunManifest, out_dir) -> str:
+def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
     """Persist a run: drop any old run.manifest, write snap_XXX.snap files,
-    loss.csv, then the new run.manifest.
+    loss.csv, call `write_data()` when given, then write the new run.manifest.
 
     Dropping the old manifest first means a save that fails partway leaves no
-    manifest over a mix of old and new snapshots. Once the new manifest is in
+    manifest over a mix of old and new snapshots, or over data files that
+    `write_data` did not finish. Once the new manifest is in
     place, snapshot files an earlier run in the same directory left behind
     under names this function writes, and that the new manifest does not
     list, are deleted. Returns the manifest path.
@@ -275,6 +276,8 @@ def save_run(manifest: RunManifest, out_dir) -> str:
                 writer.writerow([epoch, repr(loss), repr(lr)])
     except OSError as exc:
         raise StorageError(f"cannot write loss CSV in {out_dir}: {exc}") from exc
+    if write_data is not None:
+        write_data()
     write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     try:
         for name in os.listdir(out_dir):

@@ -350,3 +350,36 @@ def test_ensemble_sweep_predicts_once_and_matches_per_m_output(run_dir, tmp_path
                  "--order", order, "--out", str(out)]) == 0
     assert out.read_text().splitlines() == expected
     assert len(calls) == 4  # M predicts, not M(M+1)/2
+
+
+def test_eval_data_with_another_feature_count_exits_2_naming_it(run_dir, tmp_path, capsys):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("f0,f1,f2,label\n0.5,0.25,1.0,0\n-0.5,0.75,2.0,1\n")
+    assert main(["ensemble", "--manifest", str(run_dir / "run.manifest"), "--data", str(wide)]) == 2
+    assert f"{wide}: 3 feature columns" in capsys.readouterr().err
+
+
+def test_retrain_that_cannot_write_test_csv_leaves_no_manifest_over_the_old_split(
+    tmp_path, monkeypatch
+):
+    import errno
+
+    import snapens.cli as cli_mod
+
+    out = tmp_path / "run"
+    assert train_cycles(tmp_path, out, 3) == 0
+    old_test = (out / "test.csv").read_bytes()
+    real_save_csv = cli_mod.save_csv
+
+    def no_space_for_test_csv(dataset, path):
+        if str(path).endswith("test.csv"):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        real_save_csv(dataset, path)
+
+    monkeypatch.setattr(cli_mod, "save_csv", no_space_for_test_csv)
+    cfg = tmp_path / "other.cfg"  # another split of other data into the same directory
+    cfg.write_text(MOONS_CFG.format(out=out).replace("seed=3", "seed=4"))
+    assert main(["train", str(cfg)]) == 4
+    assert (out / "test.csv").read_bytes() == old_test
+    assert main(["ensemble", "--manifest", str(out / "run.manifest"),
+                 "--data", str(out / "test.csv")]) != 0

@@ -17,7 +17,7 @@ from snapens.data import (
     save_csv,
     split,
 )
-from snapens.errors import FormatError, InputError
+from snapens.errors import FormatError, InputError, StorageError
 from snapens.nn import ModelSpec, evaluate_error
 from snapens.schedule import ScheduleSpec
 from snapens.trainer import TrainConfig, iterations_for, train
@@ -104,6 +104,21 @@ def test_save_csv_bytes_match_csv_writer(tmp_path):
     save_csv(ds, path)
     assert path.read_bytes() == _csv_writer_bytes(ds, tmp_path / "reference.csv")
     assert load_csv(path).inputs.tobytes() == ds.inputs.tobytes()
+
+
+def test_failed_save_csv_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "split.csv"
+    save_csv(gen_two_moons(20, 0.1, seed=1), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(StorageError, match="split.csv"):
+        save_csv(gen_two_moons(40, 0.1, seed=2), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["split.csv"]
 
 
 def test_save_csv_keeps_signed_zeros_and_extremes_apart_across_blocks(tmp_path):

@@ -57,7 +57,17 @@ def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moo
         "curve": ["curve", *inputs, "--out", str(tmp_path / "curve.csv")],
         "correlate": ["correlate", *inputs, "--out", str(tmp_path / "corr")],
     }
+    points = 5
+    commands["interpolate"] = [
+        "interpolate", *inputs, "--against-final", "--points", str(points), "--out", str(tmp_path / "interp")
+    ]
     for label, argv in commands.items():
         assert tracer.run_command(label, lambda: snapens.cli.main(argv)) == 0
-    predicts = {label: tracer.command_calls[label]["ensemble.predict"] for label in commands}
+    calls = tracer.command_calls
+    predicts = {label: calls[label]["ensemble.predict"] for label in commands if label != "interpolate"}
     assert predicts == {"ensemble": 4, "ensemble_m2": 2, "curve": 4, "correlate": 4}
+    assert {label: calls[label]["nn.forward"] for label in predicts} == predicts
+    # Three curves against snapshot 4: each snapshot scored once at an end,
+    # plus the interior points of every curve.
+    assert calls["interpolate"]["analysis.interpolate"] == 3
+    assert calls["interpolate"]["nn.evaluate_error"] == 4 + 3 * (points - 2)
