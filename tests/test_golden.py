@@ -10,7 +10,6 @@ re-pin the table. `GOLDEN_EVAL` pins the bytes the eval commands write on
 two trained runs, so it guards the eval path the same way.
 """
 import hashlib
-import struct
 import subprocess
 import sys
 import tempfile
@@ -20,6 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
+from oracles import write_idx_pair
 from snapens.cli import main
 from snapens.config import build_datasets, parse_config, resolve_train_config
 from snapens.data import Dataset, save_csv
@@ -202,10 +202,9 @@ def write_idx_style_pair(directory: Path) -> tuple[Path, Path]:
     for k in range(10):
         rows = labels == k
         pixels[rows, (k // 4) * 7 : (k // 4) * 7 + 7, (k % 4) * 7 : (k % 4) * 7 + 7] += 105
-    images, label_file = directory / "images.idx", directory / "labels.idx"
-    images.write_bytes(struct.pack(">IIII", 0x00000803, 1200, 28, 28) + pixels.tobytes())
-    label_file.write_bytes(struct.pack(">II", 0x00000801, 1200) + labels.tobytes())
-    return images, label_file
+    paths = directory / "images.idx", directory / "labels.idx"
+    write_idx_pair(*paths, pixels, labels)
+    return paths
 
 
 IDX_STYLE_CFG = """\
