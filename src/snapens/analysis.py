@@ -26,6 +26,8 @@ class InterpolationCurve:
 
 
 def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> np.ndarray:
+    if points < 1:
+        raise InputError(f"a lambda grid needs at least 1 point, got {points}")
     return np.linspace(0.0, 1.0, points)
 
 

@@ -191,22 +191,33 @@ def cmd_correlate(args) -> int:
     return 0
 
 
+def _sweep_row(path):
+    """Train one sweep config and score its whole snapshot ensemble: its summary row."""
+    cfg, manifest, test_set, _ = run_experiment(path)
+    m = len(manifest.snapshots)
+    result = ensemble_eval(manifest.snapshots, test_set, m, "latest")
+    name = os.path.splitext(os.path.basename(path))[0]
+    return [name, cfg.mode, cfg.epochs, m, result.ensemble_error]
+
+
 def cmd_sweep(args) -> int:
-    config_files = sorted(
-        os.path.join(args.config_dir, name)
-        for name in os.listdir(args.config_dir)
-        if name.endswith(".cfg")
-    )
-    if not config_files:
-        raise InputError(f"no .cfg files in {args.config_dir}")
-    rows = []
-    for path in config_files:
-        cfg, manifest, test_set, _ = run_experiment(path)
-        m = len(manifest.snapshots)
-        result = ensemble_eval(manifest.snapshots, test_set, m, "latest")
-        name = os.path.splitext(os.path.basename(path))[0]
-        rows.append([name, cfg.mode, cfg.epochs, m, _fmt(result.ensemble_error)])
-        print(f"{name}: mode={cfg.mode} snapshots={m} ensemble_error={result.ensemble_error:.4f}")
+    from .sweep import run_sweep, sweep_configs  # only this command compiles the worker code
+
+    paths = sweep_configs(args.config_dir)
+    outcomes, rows = {}, []
+
+    def report(i, outcome):
+        """Keep an outcome (a row list or an exception) and print every row
+        that is now complete in config order."""
+        outcomes[i] = outcome
+        while isinstance(outcomes.get(len(rows)), list):
+            name, mode, epochs, m, error = outcomes[len(rows)]
+            print(f"{name}: mode={mode} snapshots={m} ensemble_error={error:.4f}")
+            rows.append([name, mode, epochs, m, _fmt(error)])
+
+    run_sweep(paths, _sweep_row, report)
+    if len(rows) < len(paths):
+        raise outcomes[len(rows)]
     _write_rows(args.summary, ["config", "mode", "epochs", "m", "ensemble_error"], rows)
     print(f"summary: {args.summary}")
     return 0

@@ -54,6 +54,7 @@ _SOURCE_PARAMS = {
     "idx": {"images", "labels"},
 }
 _COMMON_PARAMS = {"train_fraction", "split_seed", "normalize"}
+_INPUT_FILE_PARAMS = {"csv": ("path",), "idx": ("images", "labels")}
 
 
 @dataclass
@@ -231,6 +232,15 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if _param(p, "normalize", "false", str).lower() in ("true", "1", "yes"):
         train_set, test_set, _ = normalize(train_set, test_set)
     return train_set, test_set
+
+
+def input_files(cfg: ExperimentConfig) -> list[str]:
+    """The files `build_datasets` reads for this config; generated data reads none."""
+    return [
+        cfg.data_params[key]
+        for key in _INPUT_FILE_PARAMS.get(cfg.data_source, ())
+        if key in cfg.data_params
+    ]
 
 
 def resolve_train_config(cfg: ExperimentConfig, n_train: int) -> TrainConfig:

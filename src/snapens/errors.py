@@ -32,6 +32,9 @@ class DivergenceError(SnapensError):
         super().__init__(f"diverged at iteration {iteration}")
         self.iteration = iteration
 
+    def __reduce__(self):
+        return type(self), (self.iteration,)
+
 
 class UndefinedCorrelationError(SnapensError):
     """Pearson correlation undefined: a flattened prediction vector has zero variance."""

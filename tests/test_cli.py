@@ -199,6 +199,15 @@ def test_interpolate_bad_pair_exits_2(run_dir, tmp_path):
                  "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_interpolate_fewer_than_one_point_exits_2(run_dir, tmp_path, capsys, points):
+    assert main(["interpolate", "--manifest", str(run_dir / "run.manifest"),
+                 "--data", str(run_dir / "test.csv"), "--against-final",
+                 "--points", points, "--out", str(tmp_path / "x")]) == 2
+    assert f"needs at least 1 point, got {points}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_correlate_outputs_matrix_and_triples(run_dir, tmp_path):
     out = tmp_path / "corr"
     assert main(["correlate", "--manifest", str(run_dir / "run.manifest"),

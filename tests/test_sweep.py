@@ -1,0 +1,200 @@
+"""`snapens sweep`: whole-sweep validation, parallel workers, errors across the fork."""
+import hashlib
+import os
+import pickle
+import re
+import signal
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import snapens.cli as cli_mod
+import snapens.errors as errors_mod
+from conftest import subprocess_env
+from snapens.cli import main
+
+CFG = """\
+model.layers = 2,16,2
+schedule.alpha0 = {alpha0}
+train.mode = {mode}
+train.epochs = 8
+train.batch_size = 25
+train.seed = {seed}
+data.source = {source}
+data.params = {params}
+output.dir = {out}
+"""
+MODES = {"snapshot": "schedule.cycles = 4\n", "nocycle": "schedule.cycles = 2\n", "single": ""}
+
+
+def write_config(config_dir, name, out, mode="snapshot", seed=11, alpha0=0.2,
+                 source="two_moons", params="n=200,noise=0.1,seed=3"):
+    text = CFG.format(alpha0=alpha0, mode=mode, seed=seed, source=source, params=params, out=out)
+    (config_dir / f"{name}.cfg").write_text(text + MODES[mode])
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def tree_digests(root):
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.fixture
+def moons_sweep(tmp_path):
+    """A directory of four small two-moons configs with relative output dirs."""
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    write_config(config_dir, "a_snapshot", "runs/a_snapshot")
+    write_config(config_dir, "b_nocycle", "runs/b_nocycle", mode="nocycle", alpha0=0.1)
+    write_config(config_dir, "c_single", "runs/c_single", mode="single", alpha0=0.1)
+    write_config(config_dir, "d_snapshot", "runs/d_snapshot", seed=12)
+    return config_dir
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose sweep still waits on its workers after a minute.
+    An alarm starts no thread, and a forked child does not inherit it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("sweep still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def sweep_in(workdir, config_dir, monkeypatch, capsys):
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code = main(["sweep", str(config_dir), "--summary", "summary.csv"])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_serial_and_parallel_sweeps_write_identical_bytes(
+    moons_sweep, tmp_path, monkeypatch, capsys, deadline, workers
+):
+    forks = []
+    real_fork = os.fork
+
+    def no_fork():
+        raise AssertionError("a sweep on one usable CPU forked")
+
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial_code, serial_out = sweep_in(tmp_path / "serial", moons_sweep, monkeypatch, capsys)
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    cpus(monkeypatch, workers)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    parallel_code, parallel_out = sweep_in(tmp_path / "parallel", moons_sweep, monkeypatch, capsys)
+
+    assert serial_code == parallel_code == 0
+    assert len(forks) == workers - 1
+    serial_files = tree_digests(tmp_path / "serial")
+    assert "summary.csv" in serial_files and "runs/d_snapshot/run.manifest" in serial_files
+    assert serial_files == tree_digests(tmp_path / "parallel")
+    assert serial_out.out == parallel_out.out
+    assert serial_out.out.splitlines()[0].startswith("a_snapshot: mode=snapshot snapshots=4 ")
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_divergence_in_the_middle_exits_3_after_the_configs_before_it(
+    moons_sweep, tmp_path, monkeypatch, capsys, deadline, count
+):
+    write_config(moons_sweep, "b_nocycle", "runs/b_nocycle", mode="nocycle", alpha0=1e18)
+    cpus(monkeypatch, count)
+    with np.errstate(all="ignore"):
+        code, out = sweep_in(tmp_path / "work", moons_sweep, monkeypatch, capsys)
+    assert code == 3
+    lines = out.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("a_snapshot: ")
+    assert re.fullmatch(r"error: diverged at iteration \d+\n", out.err)
+    assert not (tmp_path / "work" / "summary.csv").exists()
+
+
+def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, monkeypatch, capfd, deadline):
+    real_row = cli_mod._sweep_row
+
+    def crash_on_b(path):
+        if os.path.basename(path) == "b_nocycle.cfg":
+            raise RuntimeError("boom")
+        return real_row(path)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli_mod, "_sweep_row", crash_on_b)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", str(moons_sweep), "--summary", "summary.csv"])
+    assert "b_nocycle.cfg: sweep worker exited with code 1" in str(exited.value.code)
+    out = capfd.readouterr()  # the child's traceback reaches only the file descriptor
+    assert out.out.startswith("a_snapshot: ") and len(out.out.splitlines()) == 1
+    assert "RuntimeError: boom" in out.err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_bad_config_exits_2_before_anything_trains(moons_sweep, tmp_path, monkeypatch, capsys):
+    (moons_sweep / "c_single.cfg").write_text("model.layers = 2,16,2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", str(moons_sweep)]) == 2
+    assert "missing required key" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_two_configs_with_one_output_dir_exit_2_naming_both(moons_sweep, tmp_path, monkeypatch, capsys):
+    write_config(moons_sweep, "d_snapshot", "runs/./b_nocycle", seed=12)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", str(moons_sweep)]) == 2
+    err = capsys.readouterr().err
+    assert "b_nocycle.cfg" in err and "d_snapshot.cfg" in err and "output.dir" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_input_under_another_configs_output_dir_exits_2_naming_both(
+    moons_sweep, tmp_path, monkeypatch, capsys
+):
+    write_config(moons_sweep, "d_snapshot", "runs/d_snapshot", source="csv",
+                 params="path=runs/a_snapshot/train.csv")
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", str(moons_sweep)]) == 2
+    err = capsys.readouterr().err
+    assert "a_snapshot.cfg" in err and "d_snapshot.cfg" in err and "runs/a_snapshot/train.csv" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def error_classes(cls=errors_mod.SnapensError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in error_classes(child)]
+
+
+@pytest.mark.parametrize("cls", error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_round_trips_through_pickle(cls):
+    exc = cls(5) if cls is errors_mod.DivergenceError else cls("runs/x: bad value")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is cls
+    assert str(copy) == str(exc)
+    assert copy.args == exc.args
+    assert vars(copy) == vars(exc)
+
+
+def test_importing_the_cli_leaves_the_worker_modules_out():
+    code = (
+        "import sys, snapens.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'snapens.sweep') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
