@@ -52,6 +52,13 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+def _rng(seed: int, name: str) -> np.random.Generator:
+    """numpy's generator for a seed, which must be a non-negative integer."""
+    if seed < 0:
+        raise InputError(f"{name} must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     """Two interleaved unit semicircles, n/2 points each, plus Gaussian noise.
 
@@ -63,7 +70,7 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     if noise_sigma < 0:
         raise InputError("noise_sigma must be >= 0")
     half = n // 2
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, "seed")
     phi_upper = rng.uniform(0.0, math.pi, half)
     phi_lower = rng.uniform(0.0, math.pi, half)
     upper = np.column_stack([np.cos(phi_upper), np.sin(phi_upper)])
@@ -88,7 +95,7 @@ def gen_spirals(n: int, turns: float, noise_sigma: float, seed: int) -> Dataset:
     if noise_sigma < 0:
         raise InputError("noise_sigma must be >= 0")
     half = n // 2
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, "seed")
     sweep = 2.0 * math.pi * turns
 
     def arm(count):
@@ -111,7 +118,7 @@ def gen_blobs(n: int, class_count: int, spread: float, seed: int) -> Dataset:
         raise InputError("blobs needs class_count >= 1")
     if spread < 0:
         raise InputError("spread must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, "seed")
     centers = rng.uniform(-4.0, 4.0, (class_count, 2))
     base, extra = divmod(n, class_count)
     counts = [base + (1 if k < extra else 0) for k in range(class_count)]
@@ -304,7 +311,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     n_train = math.floor(train_fraction * n)
     if n_train < 1 or n_train >= n:
         raise InputError(f"split of {n} examples at {train_fraction} leaves one side empty")
-    order = np.random.default_rng(seed).permutation(n)
+    order = _rng(seed, "split_seed").permutation(n)
     train_idx, test_idx = order[:n_train], order[n_train:]
     k = dataset.class_count
     return (

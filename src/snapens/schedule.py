@@ -31,8 +31,8 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"schedule kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.alpha0 > 0.0:
-            raise InputError("alpha0 must be > 0")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise InputError("alpha0 must be finite and > 0")
         if self.total_iterations < 1:
             raise InputError("total_iterations must be >= 1")
         if self.kind == "cyclic_cosine":

@@ -67,8 +67,10 @@ class TrainConfig:
             raise ConfigError("train.batch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("train.momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ConfigError("train.weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("train.weight_decay must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("train.seed must be >= 0")
         if self.mode == "nocycle":
             if self.snapshot_count is None or self.snapshot_count < 1:
                 raise ConfigError("schedule.cycles: nocycle mode needs a snapshot count >= 1")

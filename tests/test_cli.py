@@ -111,6 +111,33 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert "diverged at iteration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [
+        ("train.seed = 11", "train.seed = -5", "train.seed must be >= 0"),
+        ("seed=3", "seed=-1", "seed must be >= 0, got -1"),
+        ("seed=3", "seed=3,split_seed=-1", "split_seed must be >= 0, got -1"),
+        ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = nan", "train.weight_decay must be finite"),
+        ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = inf", "train.weight_decay must be finite"),
+        ("schedule.alpha0 = 0.2", "schedule.alpha0 = inf", "alpha0 must be finite"),
+    ],
+    ids=["train_seed", "data_seed", "split_seed", "weight_decay_nan", "weight_decay_inf", "alpha0_inf"],
+)
+def test_train_out_of_domain_number_exits_2_naming_the_key(tmp_path, capsys, line, replacement, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MOONS_CFG.format(out=tmp_path / "r").replace(line, replacement, 1))
+    assert main(["train", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_gen_data_negative_seed_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--source", "spirals", "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg_a = tmp_path / "a.cfg"
     cfg_b = tmp_path / "b.cfg"

@@ -13,6 +13,28 @@ from snapens.trainer import save_run
 
 INPROC = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inproc.py"
 
+MOONS_CFG = """\
+model.layers = 2,16,2
+schedule.alpha0 = 0.2
+schedule.cycles = 4
+train.mode = snapshot
+train.epochs = 8
+train.batch_size = 25
+train.seed = 11
+data.source = two_moons
+data.params = n=400,noise=0.1,seed=3
+output.dir = {out}
+"""
+# Spans one `train` of MOONS_CFG records, with their call counts: both splits
+# saved, one snapshot per cycle.
+TRAIN_SPANS = {
+    "config.parse_config": 1,
+    "config.build_datasets": 1,
+    "trainer.train": 1,
+    "data.save_csv": 2,
+    "store.write_snapshot": 4,
+}
+
 
 def load_inproc():
     spec = importlib.util.spec_from_file_location("perfbench_inproc", INPROC)
@@ -33,13 +55,8 @@ def test_every_trace_target_resolves():
     assert missing == []
 
 
-def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moons200, tmp_path, monkeypatch):
-    _, manifest = tiny_run
-    assert len(manifest.snapshots) == 4
-    manifest_path = save_run(manifest, tmp_path / "run")
-    data = tmp_path / "data.csv"
-    save_csv(moons200, data)
-
+def install_tracer(monkeypatch):
+    """A benchmark tracer patched into the snapens modules until the test ends."""
     inproc = load_inproc()
     modules = {
         name: importlib.import_module(f"snapens.{name}")
@@ -49,6 +66,27 @@ def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moo
         monkeypatch.setattr(modules[module], attr, getattr(modules[module], attr))  # undone at teardown
     tracer = inproc.Tracer()
     tracer.install(modules)
+    return tracer
+
+
+def test_train_routes_every_traced_call_through_the_patched_names(tmp_path, monkeypatch):
+    cfg = tmp_path / "moons.cfg"
+    cfg.write_text(MOONS_CFG.format(out=tmp_path / "run"))
+    tracer = install_tracer(monkeypatch)
+    assert tracer.run_command("train", lambda: snapens.cli.main(["train", str(cfg)])) == 0
+    calls = tracer.command_calls["train"]
+    assert {name: calls.get(name) for name in TRAIN_SPANS} == TRAIN_SPANS
+    assert calls["nn.loss_and_grad"] == calls["trainer.sgd_step"] == 8 * 8  # 8 epochs of 8 batches
+
+
+def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moons200, tmp_path, monkeypatch):
+    _, manifest = tiny_run
+    assert len(manifest.snapshots) == 4
+    manifest_path = save_run(manifest, tmp_path / "run")
+    data = tmp_path / "data.csv"
+    save_csv(moons200, data)
+
+    tracer = install_tracer(monkeypatch)
 
     inputs = ["--manifest", manifest_path, "--data", str(data)]
     commands = {
