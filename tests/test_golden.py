@@ -4,9 +4,10 @@ Each entry maps a recipe under `recipes/` to two blake2b-8 digests: one of
 the concatenated float64 bytes of its snapshot parameters, one of the repr
 of its per-epoch losses and epoch-end learning rates (what `loss.csv`
 holds). `GOLDEN_CSV` pins the `save_csv` bytes of each recipe's train and
-test split (what `train.csv` and `test.csv` hold). A change that moves any
-digest changes what `train` writes; if that is intended, record it and
-re-pin the table. `GOLDEN_EVAL` pins the bytes the eval commands write on
+test split (what `train.csv` and `test.csv` hold), and `GOLDEN_CONFIG_DIGEST`
+the `config_digest` each recipe's snapshot headers and manifest carry. A
+change that moves any digest changes what `train` writes; if that is
+intended, record it and re-pin the table. `GOLDEN_EVAL` pins the bytes the eval commands write on
 two trained runs, so it guards the eval path the same way.
 """
 import hashlib
@@ -59,6 +60,34 @@ GOLDEN = {
 SPIRALS_CSV = ("9bd769b4f10a8d64", "69b4c8141a3842f9")
 GOLDEN_CSV = dict.fromkeys(GOLDEN, SPIRALS_CSV)
 GOLDEN_IDX_CSV = "48505977a5bd6f95"
+
+# blake2b-16 `config_digest` of each recipe's resolved training config.
+GOLDEN_CONFIG_DIGEST = {
+    "baselines/dropout.cfg": "a499157572a5b03a5dc0a101bc752464",
+    "baselines/nocycle.cfg": "7e37b84511e9039013a09328a4e5dbe3",
+    "baselines/single.cfg": "15c01b5eb2dc7cd08c3a77baae2b7793",
+    "baselines/singlecycle.cfg": "aa0b84b22bfcfc452bd63733979374a5",
+    "baselines/snapshot.cfg": "5588cb2945051b00338e2b051c9f2f03",
+    "budget_sweep/b030_singlecycle.cfg": "80ca19b4fbb9d835fb93327d4970121e",
+    "budget_sweep/b030_snapshot.cfg": "33822e3243554089db6665910f1b4b23",
+    "budget_sweep/b060_singlecycle.cfg": "656e9fba4e480848ee5821bdf3349541",
+    "budget_sweep/b060_snapshot.cfg": "020ed20f0b17ed47c714353e9b0db3c9",
+    "budget_sweep/b120_singlecycle.cfg": "aa0b84b22bfcfc452bd63733979374a5",
+    "budget_sweep/b120_snapshot.cfg": "5588cb2945051b00338e2b051c9f2f03",
+    "correlation/cyclic.cfg": "5588cb2945051b00338e2b051c9f2f03",
+    "correlation/nocycle.cfg": "7e37b84511e9039013a09328a4e5dbe3",
+    "error_curve.cfg": "5588cb2945051b00338e2b051c9f2f03",
+    "interpolation.cfg": "5588cb2945051b00338e2b051c9f2f03",
+    "size_sweep.cfg": "5588cb2945051b00338e2b051c9f2f03",
+    "true_ensemble/seed101.cfg": "97d2b8470f70ba9873b284e8c957c719",
+    "true_ensemble/seed102.cfg": "357fc7a5962d5cc4817a6b33aa3aba6e",
+    "true_ensemble/seed103.cfg": "a40851c8981b187d0308f7089b8fd761",
+    "vary_cycles/m02.cfg": "c133d3577f7f93df32dc8ebed92de269",
+    "vary_cycles/m04.cfg": "65af7f66a303fa0941cd18f760a49bc4",
+    "vary_cycles/m06.cfg": "020ed20f0b17ed47c714353e9b0db3c9",
+    "vary_cycles/m08.cfg": "85d0b09d99a3820ead6c8fc64eb2fbdd",
+    "vary_cycles/m10.cfg": "165d1c2db915afd1296918baf37883a9",
+}
 
 DIGEST_SCRIPT = """
 import hashlib, sys
@@ -130,6 +159,13 @@ def test_recipe_bytes_match_golden(name):
 def test_recipe_csv_bytes_match_golden(name):
     train_set, test_set = build_datasets(parse_config(RECIPES / name))
     assert (csv_digest(train_set), csv_digest(test_set)) == GOLDEN_CSV[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_recipe_config_digest_matches_golden(name):
+    cfg = parse_config(RECIPES / name)
+    train_set, _ = build_datasets(cfg)
+    assert config_digest(resolve_train_config(cfg, len(train_set))).hex() == GOLDEN_CONFIG_DIGEST[name]
 
 
 def test_idx_style_csv_bytes_match_golden():
