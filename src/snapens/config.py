@@ -5,17 +5,18 @@ training mode and budget, the data source and the output directory. Unknown
 keys are rejected. `train.mode` fixes the schedule kind, so `schedule.kind`
 is optional and, when given, must match it. In nocycle mode `schedule.cycles`
 gives the snapshot count, mirroring the cycle count of the cyclic runs it is
-compared against.
+compared against. Value rules live in the spec constructors, which
+`parse_config` runs once through `resolve_train_config` before it returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .data import GENERATORS, Dataset, load_csv, load_idx, normalize, split
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .nn import ModelSpec
 from .schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec
-from .trainer import MODE_SCHEDULE, TrainConfig, iterations_for
+from .trainer import TrainConfig, _schedule_kind, iterations_for
 
 KNOWN_KEYS = frozenset(
     {
@@ -57,9 +58,10 @@ _COMMON_PARAMS = {"train_fraction", "split_seed", "normalize"}
 _INPUT_FILE_PARAMS = {"csv": ("path",), "idx": ("images", "labels")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec
+    kind: str | None  # schedule.kind as written; None derives it from the mode
     alpha0: float
     cycles: int | None
     step_fractions: tuple[tuple[float, float], ...]
@@ -96,18 +98,15 @@ def _parse_kv_lines(path) -> dict[str, str]:
     return values
 
 
-def _parse_int(values, key) -> int:
+def _parse(values, key, convert, default=None):
+    """`convert(values[key])`, or `default` when the file omits the key."""
+    if key not in values:
+        return default
     try:
-        return int(values[key])
+        return convert(values[key])
     except ValueError:
-        raise ConfigError(f"{key}: not an integer: {values[key]!r}") from None
-
-
-def _parse_float(values, key) -> float:
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {values[key]!r}") from None
+        noun = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{key}: not {noun}: {values[key]!r}") from None
 
 
 def _parse_step_fractions(text: str) -> tuple[tuple[float, float], ...]:
@@ -151,56 +150,45 @@ def parse_config(path) -> ExperimentConfig:
         layers = tuple(int(s) for s in values["model.layers"].split(","))
     except ValueError:
         raise ConfigError(f"model.layers: not a comma list of integers: {values['model.layers']!r}") from None
-    dropout = _parse_float(values, "model.dropout") if "model.dropout" in values else 0.0
     try:
-        model = ModelSpec(layers, "relu", dropout)
+        model = ModelSpec(layers, "relu", _parse(values, "model.dropout", float, 0.0))
     except Exception as exc:
         raise ConfigError(f"model.layers/model.dropout: {exc}") from exc
-
-    mode = values["train.mode"]
-    if mode not in MODE_SCHEDULE:
-        raise ConfigError(f"train.mode: unknown mode {mode!r}")
-    kind = MODE_SCHEDULE[mode]
-    if values.get("schedule.kind", kind) != kind:
-        raise ConfigError(
-            f"schedule.kind: mode {mode!r} requires {kind}, got {values['schedule.kind']!r}"
-        )
-
-    cycles = None
-    if mode != "single":
-        if "schedule.cycles" not in values:
-            raise ConfigError(f"{path}: missing required key 'schedule.cycles' for mode {mode!r}")
-        cycles = _parse_int(values, "schedule.cycles")
-    elif "schedule.cycles" in values:
-        raise ConfigError(f"schedule.cycles: not applicable to mode {mode!r}")
-
-    fractions = DEFAULT_STEP_FRACTIONS
-    if "schedule.step_fractions" in values:
-        if kind != "step":
-            raise ConfigError(f"schedule.step_fractions: not applicable to mode {mode!r}")
-        fractions = _parse_step_fractions(values["schedule.step_fractions"])
 
     source = values["data.source"]
     if source not in _SOURCE_PARAMS:
         raise ConfigError(f"data.source: unknown source {source!r}")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         model=model,
-        alpha0=_parse_float(values, "schedule.alpha0"),
-        cycles=cycles,
-        step_fractions=fractions,
-        mode=mode,
-        epochs=_parse_int(values, "train.epochs"),
-        batch_size=_parse_int(values, "train.batch_size"),
-        momentum=_parse_float(values, "train.momentum") if "train.momentum" in values else 0.9,
-        weight_decay=(
-            _parse_float(values, "train.weight_decay") if "train.weight_decay" in values else 0.0
+        kind=values.get("schedule.kind"),
+        alpha0=_parse(values, "schedule.alpha0", float),
+        cycles=_parse(values, "schedule.cycles", int),
+        step_fractions=_parse(
+            values, "schedule.step_fractions", _parse_step_fractions, DEFAULT_STEP_FRACTIONS
         ),
-        seed=_parse_int(values, "train.seed"),
+        mode=values["train.mode"],
+        epochs=_parse(values, "train.epochs", int),
+        batch_size=_parse(values, "train.batch_size", int),
+        momentum=_parse(values, "train.momentum", float, 0.9),
+        weight_decay=_parse(values, "train.weight_decay", float, 0.0),
+        seed=_parse(values, "train.seed", int),
         data_source=source,
         data_params=_parse_data_params(values.get("data.params", ""), source),
         output_dir=values["output.dir"],
     )
+    # Build once on batch_size rows per cycle: T = epochs x cycles, so no rule
+    # on total_iterations can fire and every value rule runs here.
+    try:
+        config = resolve_train_config(cfg, cfg.batch_size * max(cfg.cycles or 1, 1))
+    except InputError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    if config.mode == "single" and cfg.cycles is not None:
+        raise ConfigError(f"schedule.cycles: not applicable to mode {cfg.mode!r}")
+    if config.schedule.kind != "step" and "schedule.step_fractions" in values:
+        raise ConfigError(f"schedule.step_fractions: not applicable to mode {cfg.mode!r}")
+    return cfg
 
 
 def _param(params: dict[str, str], key: str, default, convert):
@@ -247,9 +235,10 @@ def resolve_train_config(cfg: ExperimentConfig, n_train: int) -> TrainConfig:
     """Turn a parsed config plus the training-set size into a TrainConfig.
 
     Epochs convert to iterations here; the schedule is built with the exact T
-    the trainer will execute.
+    the trainer will execute. This is the only place a TrainConfig is built
+    from a config file.
     """
-    kind = MODE_SCHEDULE[cfg.mode]
+    kind = cfg.kind or _schedule_kind(cfg.mode)
     schedule = ScheduleSpec(
         kind=kind,
         alpha0=cfg.alpha0,

@@ -6,7 +6,8 @@ each cycle of L = ceil(T / M) iterations and restarts abruptly at alpha0:
     lr(t) = alpha0 / 2 * (cos(pi * mod(t - 1, L) / L) + 1)
 
 The step schedule multiplies alpha0 by each configured factor once the
-corresponding fraction of the run has strictly passed.
+corresponding fraction of the run has strictly passed. Validation messages
+name the config key a value comes from.
 """
 from __future__ import annotations
 
@@ -30,24 +31,26 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InputError(f"schedule kind must be one of {KINDS}, got {self.kind!r}")
+            raise InputError(f"schedule.kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 < self.alpha0 < math.inf:
-            raise InputError("alpha0 must be finite and > 0")
+            raise InputError("schedule.alpha0 must be finite and > 0")
         if self.total_iterations < 1:
             raise InputError("total_iterations must be >= 1")
         if self.kind == "cyclic_cosine":
             if self.cycles is None or self.cycles < 1:
-                raise InputError("cyclic_cosine needs cycles >= 1")
+                raise InputError("schedule.cycles: cyclic_cosine needs a cycle count >= 1")
             if self.cycles > self.total_iterations:
-                raise InputError("cycles must not exceed total_iterations")
+                raise InputError("schedule.cycles must not exceed total_iterations")
         if self.kind == "step":
             fracs = tuple((float(f), float(m)) for f, m in self.step_fractions)
             object.__setattr__(self, "step_fractions", fracs)
             boundaries = [f for f, _ in fracs]
             if any(not 0.0 < f <= 1.0 for f in boundaries):
-                raise InputError("step fractions must lie in (0, 1]")
+                raise InputError("schedule.step_fractions: fractions must lie in (0, 1]")
             if any(b >= a for b, a in zip(boundaries, boundaries[1:])):
-                raise InputError("step fractions must be strictly increasing")
+                raise InputError("schedule.step_fractions: fractions must be strictly increasing")
+            if any(not 0.0 < m < math.inf for _, m in fracs):
+                raise InputError("schedule.step_fractions: multipliers must be finite and > 0")
 
     @property
     def cycle_length(self) -> int:

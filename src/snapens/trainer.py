@@ -20,7 +20,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,6 +43,21 @@ MANIFEST_NAME = "run.manifest"
 LOSS_CSV_NAME = "loss.csv"
 
 
+def _schedule_kind(mode: str) -> str:
+    """The schedule kind `mode` fixes; the one check that the mode exists."""
+    if mode not in MODE_SCHEDULE:
+        raise ConfigError(f"train.mode must be one of {MODES}, got {mode!r}")
+    return MODE_SCHEDULE[mode]
+
+
+def _check_budget(epochs: int, batch_size: int) -> None:
+    """The epochs and batch-size rules of `TrainConfig` and `iterations_for`."""
+    if epochs < 1:
+        raise ConfigError("train.epochs must be >= 1")
+    if batch_size < 1:
+        raise ConfigError("train.batch_size must be >= 1")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     model: ModelSpec
@@ -56,15 +71,10 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"train.mode must be one of {MODES}, got {self.mode!r}")
-        kind = MODE_SCHEDULE[self.mode]
+        kind = _schedule_kind(self.mode)
         if self.schedule.kind != kind:
             raise ConfigError(f"schedule.kind: mode {self.mode!r} requires {kind}")
-        if self.epochs < 1:
-            raise ConfigError("train.epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("train.batch_size must be >= 1")
+        _check_budget(self.epochs, self.batch_size)
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("train.momentum must lie in [0, 1)")
         if not 0.0 <= self.weight_decay < math.inf:
@@ -89,29 +99,9 @@ class RunManifest:
 
 
 def config_digest(config: TrainConfig) -> bytes:
-    """16-byte stable hash over a canonical (sorted-key) config serialization."""
-    canonical = {
-        "model": {
-            "layer_sizes": list(config.model.layer_sizes),
-            "activation": config.model.activation,
-            "dropout_rate": config.model.dropout_rate,
-        },
-        "schedule": {
-            "kind": config.schedule.kind,
-            "alpha0": config.schedule.alpha0,
-            "total_iterations": config.schedule.total_iterations,
-            "cycles": config.schedule.cycles,
-            "step_fractions": [list(p) for p in config.schedule.step_fractions],
-        },
-        "mode": config.mode,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "momentum": config.momentum,
-        "seed": config.seed,
-        "snapshot_count": config.snapshot_count,
-        "weight_decay": config.weight_decay,
-    }
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """16-byte stable hash of every config field, nested specs included, as
+    sorted-key compact JSON."""
+    blob = json.dumps(asdict(config), sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=16).digest()
 
 
@@ -126,8 +116,9 @@ def derive_seed(base: int, *parts) -> int:
 
 def iterations_for(n_examples: int, batch_size: int, epochs: int) -> int:
     """Total SGD iterations: epochs x ceil(n / batch_size), partial batch kept."""
-    if n_examples < 1 or batch_size < 1 or epochs < 1:
-        raise InputError("n_examples, batch_size and epochs must all be >= 1")
+    _check_budget(epochs, batch_size)
+    if n_examples < 1:
+        raise InputError("n_examples must be >= 1")
     return epochs * math.ceil(n_examples / batch_size)
 
 

@@ -111,6 +111,13 @@ def test_train_divergence_exits_3(tmp_path, capsys):
     assert "diverged at iteration" in capsys.readouterr().err
 
 
+# MOONS_CFG's schedule lines, and the same run in single mode with one LR drop.
+SNAPSHOT_LINES = (
+    "schedule.kind = cyclic_cosine\nschedule.alpha0 = 0.2\nschedule.cycles = 4\ntrain.mode = snapshot"
+)
+SINGLE_LINES = "schedule.alpha0 = 0.2\ntrain.mode = single\nschedule.step_fractions = 0.5:{}"
+
+
 @pytest.mark.parametrize(
     "line, replacement, message",
     [
@@ -120,8 +127,19 @@ def test_train_divergence_exits_3(tmp_path, capsys):
         ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = nan", "train.weight_decay must be finite"),
         ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = inf", "train.weight_decay must be finite"),
         ("schedule.alpha0 = 0.2", "schedule.alpha0 = inf", "alpha0 must be finite"),
+        (SNAPSHOT_LINES, SINGLE_LINES.format("-1"), "schedule.step_fractions: multipliers must be"),
+        (SNAPSHOT_LINES, SINGLE_LINES.format("inf"), "schedule.step_fractions: multipliers must be"),
+        (SNAPSHOT_LINES, SINGLE_LINES.format("nan"), "schedule.step_fractions: multipliers must be"),
+        ("train.epochs = 8", "train.epochs = 0", "train.epochs must be >= 1"),
+        ("train.batch_size = 25", "train.batch_size = 0", "train.batch_size must be >= 1"),
+        ("schedule.cycles = 4", "schedule.cycles = 0", "schedule.cycles: cyclic_cosine needs"),
+        ("schedule.alpha0 = 0.2", "schedule.alpha0 = 0", "schedule.alpha0 must be finite and > 0"),
     ],
-    ids=["train_seed", "data_seed", "split_seed", "weight_decay_nan", "weight_decay_inf", "alpha0_inf"],
+    ids=[
+        "train_seed", "data_seed", "split_seed", "weight_decay_nan", "weight_decay_inf", "alpha0_inf",
+        "multiplier_negative", "multiplier_inf", "multiplier_nan",
+        "epochs_0", "batch_size_0", "cycles_0", "alpha0_0",
+    ],
 )
 def test_train_out_of_domain_number_exits_2_naming_the_key(tmp_path, capsys, line, replacement, message):
     cfg = tmp_path / "bad.cfg"

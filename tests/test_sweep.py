@@ -147,11 +147,24 @@ def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, mon
     assert not (tmp_path / "summary.csv").exists()
 
 
-def test_bad_config_exits_2_before_anything_trains(moons_sweep, tmp_path, monkeypatch, capsys):
-    (moons_sweep / "c_single.cfg").write_text("model.layers = 2,16,2\n")
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("c_single", lambda text: "model.layers = 2,16,2\n", "missing required key"),
+        ("d_snapshot", lambda text: text.replace("epochs = 8", "epochs = 0"), "train.epochs must be >= 1"),
+        ("d_snapshot", lambda text: text + "train.momentum = 1.0\n", "train.momentum must lie in [0, 1)"),
+        ("d_snapshot", lambda text: text.replace("alpha0 = 0.2", "alpha0 = 0"), "schedule.alpha0 must be"),
+    ],
+    ids=["missing_key", "epochs_0", "momentum_1", "alpha0_0"],
+)
+def test_bad_config_exits_2_before_anything_trains(
+    moons_sweep, tmp_path, monkeypatch, capsys, name, edit, message
+):
+    path = moons_sweep / f"{name}.cfg"
+    path.write_text(edit(path.read_text()))
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", str(moons_sweep)]) == 2
-    assert "missing required key" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,27 @@ def step_config(data_n, batch_size, epochs, mode, **kwargs):
     total = iterations_for(data_n, batch_size, epochs)
     schedule = ScheduleSpec("step", kwargs.pop("alpha0", 0.1), total)
     return TrainConfig(MODEL, schedule, mode, epochs, batch_size, **kwargs)
+
+
+def test_config_digest_covers_every_field():
+    """Changing any one field of a TrainConfig or of its nested specs changes
+    the digest, so a field added later cannot escape it."""
+    config = cyclic_config(100, 10, 4, 2, momentum=0.5, seed=3)
+
+    def with_field(obj, path, value):
+        # Bypass validation: only the digest's coverage is under test.
+        name, *rest = path
+        out = copy.copy(obj)
+        inner = with_field(getattr(obj, name), rest, value) if rest else value
+        object.__setattr__(out, name, inner)
+        return out
+
+    paths = [(f.name,) for f in fields(TrainConfig) if f.name not in ("model", "schedule")]
+    paths += [("model", f.name) for f in fields(ModelSpec)]
+    paths += [("schedule", f.name) for f in fields(ScheduleSpec)]
+    assert len(paths) == 15
+    for path in paths:
+        assert config_digest(with_field(config, path, "changed")) != config_digest(config), path
 
 
 def test_sgd_step_vanilla():
