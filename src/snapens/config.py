@@ -150,8 +150,9 @@ def parse_config(path) -> ExperimentConfig:
         layers = tuple(int(s) for s in values["model.layers"].split(","))
     except ValueError:
         raise ConfigError(f"model.layers: not a comma list of integers: {values['model.layers']!r}") from None
+    dropout = _parse(values, "model.dropout", float, 0.0)
     try:
-        model = ModelSpec(layers, "relu", _parse(values, "model.dropout", float, 0.0))
+        model = ModelSpec(layers, "relu", dropout)
     except Exception as exc:
         raise ConfigError(f"model.layers/model.dropout: {exc}") from exc
 
@@ -181,10 +182,10 @@ def parse_config(path) -> ExperimentConfig:
     # on total_iterations can fire and every value rule runs here.
     try:
         config = resolve_train_config(cfg, cfg.batch_size * max(cfg.cycles or 1, 1))
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ConfigError, InputError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
-    if config.mode == "single" and cfg.cycles is not None:
+    if cfg.mode == "single" and cfg.cycles is not None:
         raise ConfigError(f"schedule.cycles: not applicable to mode {cfg.mode!r}")
     if config.schedule.kind != "step" and "schedule.step_fractions" in values:
         raise ConfigError(f"schedule.step_fractions: not applicable to mode {cfg.mode!r}")
@@ -238,7 +239,7 @@ def resolve_train_config(cfg: ExperimentConfig, n_train: int) -> TrainConfig:
     the trainer will execute. This is the only place a TrainConfig is built
     from a config file.
     """
-    kind = cfg.kind or _schedule_kind(cfg.mode)
+    kind = _schedule_kind(cfg.mode) if cfg.kind is None else cfg.kind
     schedule = ScheduleSpec(
         kind=kind,
         alpha0=cfg.alpha0,

@@ -164,7 +164,8 @@ def test_bad_config_exits_2_before_anything_trains(
     path.write_text(edit(path.read_text()))
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", str(moons_sweep)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and f"{name}.cfg" in err
     assert not (tmp_path / "runs").exists()
 
 
