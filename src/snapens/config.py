@@ -204,7 +204,15 @@ def _param(params: dict[str, str], key: str, default, convert):
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Construct the (train, test) pair a config describes."""
+    """Construct the (train, test) pair a config describes. A `data.params`
+    value the generator or the split rejects is a ConfigError naming the key."""
+    try:
+        return _build_datasets(cfg)
+    except InputError as exc:
+        raise ConfigError(f"data.params: {exc}") from exc
+
+
+def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     p = cfg.data_params
     source = cfg.data_source
     if source in GENERATORS:

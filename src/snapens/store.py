@@ -108,14 +108,22 @@ def read_snapshot(path) -> SnapshotRecord:
     """Inverse of write_snapshot; validates payload length against the header."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_snapshot(fh, path)
     except OSError as exc:
         raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise FormatError(f"{path}: missing blank line after header")
+
+
+def _read_snapshot(fh, path) -> SnapshotRecord:
+    """Read the header in 4 KB steps up to its blank line and check it, then
+    read the payload once, with readinto, straight into the parameter array."""
+    head = fh.read(4096)
+    while (sep := head.find(b"\n\n")) < 0:
+        more = fh.read(max(len(head), 4096))
+        if not more:
+            raise FormatError(f"{path}: missing blank line after header")
+        head += more
     try:
-        header = blob[:sep].decode("utf-8")
+        header = head[:sep].decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: header is not UTF-8 text") from None
     fields = _parse_header(header, path)
@@ -143,14 +151,21 @@ def read_snapshot(path) -> SnapshotRecord:
     if len(digest) != 16:
         raise FormatError(f"{path}: config_digest must be 16 bytes")
 
-    payload = blob[sep + 2 :]
     expected = 8 * param_count(spec)
-    if len(payload) != expected:
+    length = os.fstat(fh.fileno()).st_size - (sep + 2)
+    if length == expected:  # checked before allocating what the header asks for
+        params = np.empty(expected // 8, dtype="<f8")
+        payload = memoryview(params).cast("B")
+        start = head[sep + 2 : sep + 2 + expected]
+        payload[: len(start)] = start
+        length = len(start) + fh.readinto(payload[len(start) :]) + len(fh.read())
+    if length != expected:
         raise FormatError(
-            f"{path}: payload length {len(payload)} != expected {expected} bytes"
+            f"{path}: payload length {length} != expected {expected} bytes"
         )
-    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return SnapshotRecord(spec, params, cycle_index, iteration, train_loss, digest)
+    return SnapshotRecord(
+        spec, params.astype(np.float64, copy=False), cycle_index, iteration, train_loss, digest
+    )
 
 
 @dataclass

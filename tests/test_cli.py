@@ -122,8 +122,11 @@ SINGLE_LINES = "schedule.alpha0 = 0.2\ntrain.mode = single\nschedule.step_fracti
     "line, replacement, message",
     [
         ("train.seed = 11", "train.seed = -5", "train.seed must be >= 0"),
-        ("seed=3", "seed=-1", "seed must be >= 0, got -1"),
-        ("seed=3", "seed=3,split_seed=-1", "split_seed must be >= 0, got -1"),
+        ("seed=3", "seed=-1", "data.params: seed must be >= 0, got -1"),
+        ("seed=3", "seed=3,split_seed=-1", "data.params: split_seed must be >= 0, got -1"),
+        ("n=200", "n=201", "data.params: two_moons needs an even n >= 2"),
+        ("seed=3", "seed=3,train_fraction=1.5", "data.params: train_fraction must lie strictly"),
+        ("noise=0.1", "noise=x", "data.params: bad value for 'noise'"),
         ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = nan", "train.weight_decay must be finite"),
         ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = inf", "train.weight_decay must be finite"),
         ("schedule.alpha0 = 0.2", "schedule.alpha0 = inf", "alpha0 must be finite"),
@@ -136,7 +139,8 @@ SINGLE_LINES = "schedule.alpha0 = 0.2\ntrain.mode = single\nschedule.step_fracti
         ("schedule.alpha0 = 0.2", "schedule.alpha0 = 0", "schedule.alpha0 must be finite and > 0"),
     ],
     ids=[
-        "train_seed", "data_seed", "split_seed", "weight_decay_nan", "weight_decay_inf", "alpha0_inf",
+        "train_seed", "data_seed", "split_seed", "data_odd_n", "data_train_fraction", "data_noise_text",
+        "weight_decay_nan", "weight_decay_inf", "alpha0_inf",
         "multiplier_negative", "multiplier_inf", "multiplier_nan",
         "epochs_0", "batch_size_0", "cycles_0", "alpha0_0",
     ],
@@ -145,7 +149,19 @@ def test_train_out_of_domain_number_exits_2_naming_the_key(tmp_path, capsys, lin
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(MOONS_CFG.format(out=tmp_path / "r").replace(line, replacement, 1))
     assert main(["train", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and message in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_sweep_bad_data_params_value_exits_2_naming_the_file_and_the_key(tmp_path, monkeypatch, capsys):
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    cfg = config_dir / "bad.cfg"
+    cfg.write_text(MOONS_CFG.format(out="r").replace("seed=3", "seed=-1"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", str(config_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: data.params: seed must be >= 0, got -1\n"
     assert not (tmp_path / "r").exists()
 
 

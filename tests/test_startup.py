@@ -93,7 +93,7 @@ def test_eval_commands_leave_the_training_modules_out(tiny_run, moons200, tmp_pa
     for label, argv in commands.items():
         loaded = loaded_modules(tmp_path, argv)
         assert "snapens.cli" in loaded, label
-        assert loaded & (TRAINING_MODULES | {"snapens.sweep"}) == set(), label
+        assert loaded & (TRAINING_MODULES | {"snapens.sweep", "snapens.pool"}) == set(), label
 
 
 def test_train_loads_the_training_modules(tmp_path):
