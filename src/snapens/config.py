@@ -199,8 +199,13 @@ def _param(params: dict[str, str], key: str, default, convert):
         return default
     try:
         return convert(params[key])
-    except ValueError:
+    except (ValueError, KeyError):
         raise ConfigError(f"data.params: bad value for {key!r}: {params[key]!r}") from None
+
+
+def _flag(text: str) -> bool:
+    """A `data.params` switch: true/false, 1/0 or yes/no, in any case."""
+    return {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}[text.lower()]
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -226,7 +231,7 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     train_set, test_set = split(
         full, _param(p, "train_fraction", 0.5, float), _param(p, "split_seed", 0, int)
     )
-    if _param(p, "normalize", "false", str).lower() in ("true", "1", "yes"):
+    if _param(p, "normalize", False, _flag):
         train_set, test_set, _ = normalize(train_set, test_set)
     return train_set, test_set
 

@@ -218,7 +218,7 @@ def _parse_rows(rows, first_row, header, label_idx, labels, path) -> np.ndarray:
     if set(map(len, rows)) - {width}:
         _raise_first_fault(rows, first_row, header, label_idx, path)
     try:
-        block_labels = list(map(int, map(itemgetter(label_idx), rows)))
+        block_labels = _labels(map(itemgetter(label_idx), rows))
         cells = list(chain.from_iterable(rows))
         sample = cells[:_DISTINCT_SAMPLE_CELLS]
         if 2 * len(set(sample)) > len(sample):
@@ -242,14 +242,23 @@ def _raise_first_fault(rows, first_row, header, label_idx, path) -> None:
         if len(row) != len(header):
             raise FormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
         try:
-            int(row[label_idx])
+            _labels((row[label_idx],))
         except ValueError:
             raise FormatError(
-                f"{path}: row {i}, column {header[label_idx]!r}: not an integer label"
+                f"{path}: row {i}, column {header[label_idx]!r}: not an integer label in [0, 2**63)"
             ) from None
         for j, cell in enumerate(row):
             if j != label_idx and not _is_float(cell):
                 raise FormatError(f"{path}: row {i}, column {header[j]!r}: not numeric")
+
+
+def _labels(texts) -> list[int]:
+    """`int()` of each label text; ValueError unless every one lies in
+    [0, 2**63), the label rule, so the labels fit int64 and index classes."""
+    values = list(map(int, texts))
+    if values and (min(values) < 0 or max(values) >= 2**63):
+        raise ValueError("label out of range")
+    return values
 
 
 def _csv_rows(fh, path):

@@ -31,6 +31,7 @@ _HEADER_FIELDS = (
     "train_loss",
     "config_digest",
 )
+_MANIFEST_FIELDS = ("format_version", "config_digest", "snapshot")
 
 
 @dataclass
@@ -70,38 +71,61 @@ def write_atomically(path, chunks, what: str) -> None:
         raise StorageError(f"cannot write {what} {path}: {exc}") from exc
 
 
+def _field_bytes(fields) -> bytes:
+    """`format_version=1`, then one `key=value` line per (key, value) pair,
+    newline-separated UTF-8 with no trailing newline."""
+    lines = [f"format_version={FORMAT_VERSION}"] + [f"{key}={value}" for key, value in fields]
+    return "\n".join(lines).encode("utf-8")
+
+
+def _fields(lines, known, path, what: str, repeated=()) -> dict:
+    """The `key=value` lines of a `what` ("header" or "manifest") by key.
+
+    Every `known` field must appear, each once except the `repeated` ones,
+    whose values collect into a list. format_version must be this module's,
+    and config_digest, which this returns as bytes, must be 16 hex-encoded bytes.
+    """
+    fields = {}
+    for line in lines:
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"{path}: malformed {what} line {line!r}")
+        if key not in known:
+            raise FormatError(f"{path}: unknown {what} field {key!r}")
+        if key in repeated:
+            fields.setdefault(key, []).append(value)
+        elif key in fields:
+            raise FormatError(f"{path}: duplicate {what} field {key!r}")
+        else:
+            fields[key] = value
+    for key in known:
+        if key not in fields:
+            raise FormatError(f"{path}: missing {what} field {key!r}")
+    if fields["format_version"] != str(FORMAT_VERSION):
+        raise FormatError(f"{path}: unsupported format_version {fields['format_version']!r}")
+    try:
+        fields["config_digest"] = bytes.fromhex(fields["config_digest"])
+    except ValueError:
+        raise FormatError(f"{path}: bad config_digest {fields['config_digest']!r}") from None
+    if len(fields["config_digest"]) != 16:
+        raise FormatError(f"{path}: config_digest must be 16 bytes")
+    return fields
+
+
 def write_snapshot(record: SnapshotRecord, path) -> None:
-    header = "\n".join(
+    header = _field_bytes(
         [
-            f"format_version={FORMAT_VERSION}",
-            "layer_sizes=" + ",".join(str(n) for n in record.spec.layer_sizes),
-            f"activation={record.spec.activation}",
-            f"dropout_rate={record.spec.dropout_rate!r}",
-            f"cycle_index={record.cycle_index}",
-            f"iteration={record.iteration}",
-            f"train_loss={record.train_loss!r}",
-            f"config_digest={record.config_digest.hex()}",
+            ("layer_sizes", ",".join(str(n) for n in record.spec.layer_sizes)),
+            ("activation", record.spec.activation),
+            ("dropout_rate", repr(record.spec.dropout_rate)),
+            ("cycle_index", record.cycle_index),
+            ("iteration", record.iteration),
+            ("train_loss", repr(record.train_loss)),
+            ("config_digest", record.config_digest.hex()),
         ]
     )
     payload = record.params.astype("<f8", copy=False).tobytes()
-    write_atomically(path, (header.encode("utf-8"), b"\n\n", payload), "snapshot")
-
-
-def _parse_header(text: str, path) -> dict[str, str]:
-    fields = {}
-    for line in text.split("\n"):
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed header line {line!r}")
-        key, value = line.split("=", 1)
-        if key not in _HEADER_FIELDS:
-            raise FormatError(f"{path}: unknown header field {key!r}")
-        if key in fields:
-            raise FormatError(f"{path}: duplicate header field {key!r}")
-        fields[key] = value
-    for key in _HEADER_FIELDS:
-        if key not in fields:
-            raise FormatError(f"{path}: missing header field {key!r}")
-    return fields
+    write_atomically(path, (header, b"\n\n", payload), "snapshot")
 
 
 def read_snapshot(path) -> SnapshotRecord:
@@ -126,9 +150,7 @@ def _read_snapshot(fh, path) -> SnapshotRecord:
         header = head[:sep].decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: header is not UTF-8 text") from None
-    fields = _parse_header(header, path)
-    if fields["format_version"] != str(FORMAT_VERSION):
-        raise FormatError(f"{path}: unsupported format_version {fields['format_version']!r}")
+    fields = _fields(header.split("\n"), _HEADER_FIELDS, path, "header")
     try:
         layer_sizes = tuple(int(s) for s in fields["layer_sizes"].split(","))
     except ValueError:
@@ -143,13 +165,6 @@ def _read_snapshot(fh, path) -> SnapshotRecord:
         train_loss = float(fields["train_loss"])
     except ValueError as exc:
         raise FormatError(f"{path}: bad numeric header field: {exc}") from None
-    digest_hex = fields["config_digest"]
-    try:
-        digest = bytes.fromhex(digest_hex)
-    except ValueError:
-        raise FormatError(f"{path}: bad config_digest {digest_hex!r}") from None
-    if len(digest) != 16:
-        raise FormatError(f"{path}: config_digest must be 16 bytes")
 
     expected = 8 * param_count(spec)
     length = os.fstat(fh.fileno()).st_size - (sep + 2)
@@ -164,7 +179,8 @@ def _read_snapshot(fh, path) -> SnapshotRecord:
             f"{path}: payload length {length} != expected {expected} bytes"
         )
     return SnapshotRecord(
-        spec, params.astype(np.float64, copy=False), cycle_index, iteration, train_loss, digest
+        spec, params.astype(np.float64, copy=False), cycle_index, iteration, train_loss,
+        fields["config_digest"]
     )
 
 
@@ -179,9 +195,9 @@ class ManifestFile:
 def write_manifest(manifest: ManifestFile, path) -> None:
     if not manifest.snapshot_files:
         raise FormatError("a run manifest needs at least one snapshot")
-    lines = [f"format_version={FORMAT_VERSION}", f"config_digest={manifest.config_digest.hex()}"]
-    lines += [f"snapshot={name}" for name in manifest.snapshot_files]
-    write_atomically(path, (("\n".join(lines) + "\n").encode("utf-8"),), "manifest")
+    fields = [("config_digest", manifest.config_digest.hex())]
+    fields += [("snapshot", name) for name in manifest.snapshot_files]
+    write_atomically(path, (_field_bytes(fields), b"\n"), "manifest")
 
 
 def read_manifest(path) -> ManifestFile:
@@ -193,44 +209,14 @@ def read_manifest(path) -> ManifestFile:
         raise StorageError(f"cannot read manifest {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise FormatError(f"{path}: manifest is not UTF-8 text") from None
-    version = None
-    digest = None
-    files = []
-    seen = set()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed manifest line {line!r}")
-        key, value = line.split("=", 1)
-        if key in seen:
-            raise FormatError(f"{path}: duplicate manifest field {key!r}")
-        if key != "snapshot":
-            seen.add(key)
-        if key == "format_version":
-            version = value
-        elif key == "config_digest":
-            try:
-                digest = bytes.fromhex(value)
-            except ValueError:
-                raise FormatError(f"{path}: bad config_digest {value!r}") from None
-            if len(digest) != 16:
-                raise FormatError(f"{path}: config_digest must be 16 bytes")
-        elif key == "snapshot":
-            files.append(value)
-        else:
-            raise FormatError(f"{path}: unknown manifest field {key!r}")
-    if version != str(FORMAT_VERSION):
-        raise FormatError(f"{path}: unsupported format_version {version!r}")
-    if digest is None:
-        raise FormatError(f"{path}: missing config_digest")
-    if not files:
-        raise FormatError(f"{path}: a run manifest needs at least one snapshot")
+    lines = (line for line in text.splitlines() if line.strip())
+    fields = _fields(lines, _MANIFEST_FIELDS, path, "manifest", repeated=("snapshot",))
+    files = tuple(fields["snapshot"])
     base = os.path.dirname(os.fspath(path))
     for name in files:
         if not os.path.exists(os.path.join(base, name)):
             raise ConsistencyError(f"{path}: missing snapshot file {name!r}")
-    return ManifestFile(digest, tuple(files))
+    return ManifestFile(fields["config_digest"], files)
 
 
 def load_run(manifest_path) -> list[SnapshotRecord]:

@@ -14,7 +14,6 @@ bit-identical results.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -28,7 +27,7 @@ from .data import Dataset
 from .errors import ConfigError, DivergenceError, InputError, StorageError
 from .nn import Batch, GradVector, ModelSpec, ParamVector, Workspace, check_labels, init_params, loss_and_grad
 from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
-from .store import ManifestFile, SnapshotRecord, write_manifest, write_snapshot
+from .store import ManifestFile, SnapshotRecord, write_atomically, write_manifest, write_snapshot
 
 # Each mode fixes its learning-rate schedule kind.
 MODE_SCHEDULE = {
@@ -259,16 +258,11 @@ def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
         name = _snapshot_name(i)
         write_snapshot(record, os.path.join(out_dir, name))
         names.append(name)
-    try:
-        with open(os.path.join(out_dir, LOSS_CSV_NAME), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_train_loss", "lr_at_epoch_end"])
-            for epoch, (loss, lr) in enumerate(
-                zip(manifest.epoch_losses, manifest.epoch_end_lrs), start=1
-            ):
-                writer.writerow([epoch, repr(loss), repr(lr)])
-    except OSError as exc:
-        raise StorageError(f"cannot write loss CSV in {out_dir}: {exc}") from exc
+    # loss.csv keeps csv.writer's bytes: CRLF line ends, no cell needs quoting
+    rows = zip(manifest.epoch_losses, manifest.epoch_end_lrs)
+    lines = [f"{epoch},{loss!r},{lr!r}\r\n" for epoch, (loss, lr) in enumerate(rows, start=1)]
+    text = "epoch,mean_train_loss,lr_at_epoch_end\r\n" + "".join(lines)
+    write_atomically(os.path.join(out_dir, LOSS_CSV_NAME), (text.encode(),), "loss CSV")
     if write_data is not None:
         write_data()
     write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)

@@ -1,3 +1,4 @@
+import ctypes
 import os
 from pathlib import Path
 
@@ -22,6 +23,22 @@ def subprocess_env(**overrides) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     env.update(overrides)
     return env
+
+
+def blas_core_type() -> str:
+    """The core type numpy's bundled OpenBLAS runs its kernels for (`SkylakeX`,
+    `Haswell`, ...), or "unknown" without such a library or its symbol.
+
+    Golden digests hold per core type, so their failure messages name it.
+    """
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> bool:

@@ -99,6 +99,17 @@ def test_train_label_the_model_cannot_score_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_train_csv_label_past_int64_exits_4_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "big_label.csv"
+    data.write_text("f0,f1,label\n" + "0.5,1.5,0\n" * 9 + "0.5,1.5,99999999999999999999\n")
+    cfg = tmp_path / "csv.cfg"
+    text = MOONS_CFG.format(out=tmp_path / "r").replace("data.source = two_moons", "data.source = csv")
+    cfg.write_text(text.replace("data.params = n=200,noise=0.1,seed=3", f"data.params = path={data}"))
+    assert main(["train", str(cfg)]) == 4
+    assert f"{data}: row 11, column 'label': not an integer label" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text(
@@ -127,6 +138,7 @@ SINGLE_LINES = "schedule.alpha0 = 0.2\ntrain.mode = single\nschedule.step_fracti
         ("n=200", "n=201", "data.params: two_moons needs an even n >= 2"),
         ("seed=3", "seed=3,train_fraction=1.5", "data.params: train_fraction must lie strictly"),
         ("noise=0.1", "noise=x", "data.params: bad value for 'noise'"),
+        ("seed=3", "seed=3,normalize=ture", "data.params: bad value for 'normalize': 'ture'"),
         ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = nan", "train.weight_decay must be finite"),
         ("train.seed = 11", "train.seed = 11\ntrain.weight_decay = inf", "train.weight_decay must be finite"),
         ("schedule.alpha0 = 0.2", "schedule.alpha0 = inf", "alpha0 must be finite"),
@@ -140,6 +152,7 @@ SINGLE_LINES = "schedule.alpha0 = 0.2\ntrain.mode = single\nschedule.step_fracti
     ],
     ids=[
         "train_seed", "data_seed", "split_seed", "data_odd_n", "data_train_fraction", "data_noise_text",
+        "data_normalize_typo",
         "weight_decay_nan", "weight_decay_inf", "alpha0_inf",
         "multiplier_negative", "multiplier_inf", "multiplier_nan",
         "epochs_0", "batch_size_0", "cycles_0", "alpha0_0",

@@ -159,6 +159,22 @@ def test_build_datasets_normalize_flag(tmp_path):
     assert abs(train_set.inputs.mean()) < 1e-9
 
 
+@pytest.mark.parametrize("value, normalized", [
+    ("TRUE", True), ("Yes", True), ("1", True), ("False", False), ("no", False), ("0", False),
+])
+def test_build_datasets_normalize_accepts_each_switch_word_in_any_case(tmp_path, value, normalized):
+    text = GOOD.replace("train_fraction=0.5", f"train_fraction=0.5,normalize={value}")
+    train_set, _ = build_datasets(parse_config(write(tmp_path, text)))
+    assert (abs(train_set.inputs.mean()) < 1e-9) == normalized
+
+
+@pytest.mark.parametrize("value", ["ture", "on", ""])
+def test_build_datasets_rejects_an_unknown_normalize_value(tmp_path, value):
+    text = GOOD.replace("train_fraction=0.5", f"train_fraction=0.5,normalize={value}")
+    with pytest.raises(ConfigError, match=f"bad value for 'normalize': '{value}'"):
+        build_datasets(parse_config(write(tmp_path, text)))
+
+
 def test_csv_source_requires_path(tmp_path):
     text = GOOD.replace("data.source = two_moons", "data.source = csv")
     text = text.replace("data.params = n=200,noise=0.1,seed=3,train_fraction=0.5\n", "")

@@ -197,6 +197,11 @@ def _with(width, **cells):
         # a bad cell and a line the CSV reader rejects: whichever comes first
         (lambda w: {3: _with(w, f1="oops"), 5: _with(w, f0="9" * 140_000)}, r"row 3, column 'f1'"),
         (lambda w: {5: _with(w, f1="oops"), 3: _with(w, f0="9" * 140_000)}, r"line 3: field larger"),
+        # a label past int64, and an all-negative label column: the label rule
+        # 0 <= label < 2**63 is checked row by row like any other label fault
+        (lambda w: {5: _with(w, f1="oops"), 4: _with(w, label="9" * 20)},
+         r"row 4, column 'label': not an integer label in \[0, 2\*\*63\)"),
+        (lambda w: {r: _with(w, label="-1") for r in range(2, 302)}, r"row 2, column 'label': not an integer label"),
     ],
 )
 def test_load_csv_reports_the_first_fault(tmp_path, width, distinct, faults, message):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import blas_core_type, subprocess_env
 from oracles import write_idx_pair
 from snapens.cli import main
 from snapens.config import build_datasets, parse_config, resolve_train_config
@@ -152,7 +152,7 @@ def test_golden_table_covers_every_recipe():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_recipe_bytes_match_golden(name):
-    assert run_digests(RECIPES / name) == GOLDEN[name]
+    assert run_digests(RECIPES / name) == GOLDEN[name], f"BLAS core type {blas_core_type()}"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -183,7 +183,7 @@ def test_snapshot_bytes_do_not_depend_on_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
-    assert digests == [GOLDEN["baselines/snapshot.cfg"][0]] * 2
+    assert digests == [GOLDEN["baselines/snapshot.cfg"][0]] * 2, f"BLAS core type {blas_core_type()}"
 
 
 # blake2b-8 of what each eval command writes (a file, or a directory's files
@@ -271,4 +271,4 @@ def test_eval_output_bytes_match_golden(name, tmp_path):
     assert main(["train", str(cfg)]) == 0
     out = tmp_path / "out"
     out.mkdir()
-    assert eval_output_digests(run_dir, out) == GOLDEN_EVAL[name]
+    assert eval_output_digests(run_dir, out) == GOLDEN_EVAL[name], f"BLAS core type {blas_core_type()}"

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snapens.store as store_mod
+from snapens.data import gen_two_moons
 from snapens.errors import ConsistencyError, FormatError, StorageError
 from snapens.nn import ModelSpec, param_count
+from snapens.schedule import ScheduleSpec
 from snapens.store import (
     ManifestFile,
     SnapshotRecord,
@@ -17,6 +20,7 @@ from snapens.store import (
     write_manifest,
     write_snapshot,
 )
+from snapens.trainer import TrainConfig, save_run, train
 
 DIGEST = bytes(range(16))
 
@@ -209,3 +213,69 @@ def test_round_trip_property(tmp_path_factory, layer_sizes, seed, dropout, cycle
     assert back.params.tobytes() == record.params.tobytes()
     assert back.train_loss == loss or (np.isnan(back.train_loss) and np.isnan(loss))
     assert back.config_digest == digest
+
+
+def _snapshot_with_header(tmp_path, edit):
+    path = tmp_path / "snap_001.snap"
+    write_snapshot(make_record(), path)
+    head, _, payload = path.read_bytes().partition(b"\n\n")
+    path.write_bytes("\n".join(edit(head.decode().split("\n"))).encode() + b"\n\n" + payload)
+    return path
+
+
+def _manifest_with_lines(tmp_path, edit):
+    write_snapshot(make_record(), tmp_path / "snap_001.snap")
+    path = tmp_path / "run.manifest"
+    write_manifest(ManifestFile(DIGEST, ("snap_001.snap",)), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return path
+
+
+def _replace_field(key, value):
+    return lambda lines: [f"{key}={value}" if ln.startswith(f"{key}=") else ln for ln in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines + ["no equals sign"], r"malformed {what} line 'no equals sign'"),
+        (lambda lines: lines + ["colour=blue"], r"unknown {what} field 'colour'"),
+        (lambda lines: lines + [lines[1]], r"duplicate {what} field"),
+        (lambda lines: [ln for ln in lines if not ln.startswith("config_digest=")],
+         r"missing {what} field 'config_digest'"),
+        (_replace_field("format_version", "2"), r"unsupported format_version '2'"),
+        (_replace_field("config_digest", "zz" * 16), r"bad config_digest 'zz"),
+        (_replace_field("config_digest", DIGEST[:15].hex()), r"config_digest must be 16 bytes"),
+    ],
+    ids=["malformed", "unknown", "duplicate", "missing", "version_2", "non_hex_digest", "digest_15_bytes"],
+)
+@pytest.mark.parametrize("what", ["header", "manifest"])
+def test_bad_field_lines_are_format_errors_naming_the_file(tmp_path, what, edit, message):
+    if what == "header":
+        path, read = _snapshot_with_header(tmp_path, edit), read_snapshot
+    else:
+        path, read = _manifest_with_lines(tmp_path, edit), read_manifest
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: " + message.format(what=what)):
+        read(path)
+
+
+def test_failed_loss_csv_write_is_a_storage_error_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    config = TrainConfig(
+        ModelSpec((2, 3, 2)), ScheduleSpec("cyclic_cosine", 0.1, 4, 2), "snapshot", epochs=2, batch_size=5
+    )
+    run = train(config, gen_two_moons(10, 0.1, seed=0))
+
+    class NoSpace(io.FileIO):
+        def write(self, chunk):
+            raise OSError(28, "No space left on device")
+
+    def no_space_for_loss_csv(path, mode):
+        return (NoSpace if str(path).endswith("loss.csv.tmp") else io.FileIO)(path, "w")
+
+    monkeypatch.setattr(store_mod, "open", no_space_for_loss_csv, raising=False)
+    with pytest.raises(StorageError, match="loss.csv"):
+        save_run(run, tmp_path / "run")
+    monkeypatch.undo()
+    assert not (tmp_path / "run" / "loss.csv.tmp").exists()
+    assert not (tmp_path / "run" / "loss.csv").exists()
+    assert not (tmp_path / "run" / "run.manifest").exists()
