@@ -10,6 +10,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from .errors import (
     InputError,
     StorageError,
 )
+from .nn import check_labels
 from .store import load_run
 
 TRAIN_CSV_NAME = "train.csv"
@@ -46,10 +48,12 @@ def build_datasets(cfg):
     return build_datasets(cfg)
 
 
-def train(config, train_set):
-    from .trainer import train
+def train(config, train_set, others=()):
+    """Train `config` and the configs in `others`, which share its trajectory,
+    in one SGD loop: their runs, `config`'s first."""
+    from .trainer import train_group
 
-    return train(config, train_set)
+    return train_group([config, *others], train_set)
 
 
 def _write_rows(out, header, rows):
@@ -80,32 +84,66 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def run_experiment(config_path):
-    """Train one config file and save its run directory plus the split it used.
+# One config to run: its file, its parsed and resolved configs and its split.
+Experiment = namedtuple("Experiment", "path cfg config train_set test_set")
 
-    Returns the parsed config, the run manifest, the test set and the path of
-    the saved `run.manifest`.
+
+def load_experiment(path, cfg, built):
+    """The Experiment of the parsed config `cfg` read from `path`.
+
+    Its split comes from `built`, keyed by data.source and data.params, and
+    is built into it when missing, so configs with the same data share one
+    split. Every check a run makes before its first step runs here, and each
+    failure names the config file: the data.params values, the training
+    labels against the model's class count (naming the data file too) and
+    whether the snapshots fit T.
     """
-    from .config import resolve_train_config
+    from .config import input_files, resolve_train_config
+    from .trainer import snapshot_iterations
+
+    key = (cfg.data_source, tuple(sorted(cfg.data_params.items())))
+    try:
+        if key not in built:
+            built[key] = build_datasets(cfg)
+        train_set, test_set = built[key]
+        config = resolve_train_config(cfg, len(train_set))
+        try:
+            check_labels(config.model, train_set.labels)
+        except InputError as exc:
+            raise ConfigError(": ".join([*input_files(cfg)[-1:], str(exc)])) from None
+        snapshot_iterations(config)
+    except (ConfigError, InputError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return Experiment(path, cfg, config, train_set, test_set)
+
+
+def _save_splits(experiment):
+    out = experiment.cfg.output_dir
+    save_csv(experiment.train_set, os.path.join(out, TRAIN_CSV_NAME))
+    save_csv(experiment.test_set, os.path.join(out, TEST_CSV_NAME))
+
+
+def run_experiment(group):
+    """Train a group of Experiments that share one training split and one
+    `trainer.trajectory_key` in one SGD loop, then save each one's run
+    directory with its split, in group order.
+
+    A generator: it trains on the first `next` and yields each experiment's
+    (cfg, run manifest, test set, path of the saved `run.manifest`) once that
+    directory is saved, so an error while saving stops at that experiment.
+    """
     from .trainer import save_run
 
-    cfg = parse_config(config_path)
-    try:
-        train_set, test_set = build_datasets(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{config_path}: {exc}") from exc
-    manifest = train(resolve_train_config(cfg, len(train_set)), train_set)
-
-    def write_splits():
-        save_csv(train_set, os.path.join(cfg.output_dir, TRAIN_CSV_NAME))
-        save_csv(test_set, os.path.join(cfg.output_dir, TEST_CSV_NAME))
-
-    manifest_path = save_run(manifest, cfg.output_dir, write_splits)
-    return cfg, manifest, test_set, manifest_path
+    first, *rest = group
+    runs = train(first.config, first.train_set, [e.config for e in rest])
+    for experiment, manifest in zip(group, runs):
+        manifest_path = save_run(manifest, experiment.cfg.output_dir, partial(_save_splits, experiment))
+        yield experiment.cfg, manifest, experiment.test_set, manifest_path
 
 
 def cmd_train(args) -> int:
-    cfg, manifest, _, manifest_path = run_experiment(args.config)
+    experiment = load_experiment(args.config, parse_config(args.config), {})
+    cfg, manifest, _, manifest_path = next(run_experiment([experiment]))
     print(f"run complete: {len(manifest.snapshots)} snapshots in {cfg.output_dir}")
     print(f"manifest: {manifest_path}")
     return 0
@@ -121,6 +159,10 @@ def _load_eval_inputs(args):
             f"{args.data}: {dataset.inputs.shape[1]} feature columns, "
             f"but the snapshots take {expected} inputs"
         )
+    try:
+        check_labels(records[0].spec, dataset.labels)
+    except InputError as exc:
+        raise InputError(f"{args.data}: {exc}") from None
     return records, dataset
 
 
@@ -272,9 +314,10 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def _sweep_row(path):
-    """Train one sweep config and score its whole snapshot ensemble: its summary row."""
-    cfg, manifest, test_set, _ = run_experiment(path)
+def _sweep_row(path, saved):
+    """Finish one sweep config: take its saved run from `saved`, its group's
+    `run_experiment`, and score its whole snapshot ensemble: its summary row."""
+    cfg, manifest, test_set, _ = next(saved)
     m = len(manifest.snapshots)
     result = ensemble_eval(manifest.snapshots, test_set, m, "latest")
     name = os.path.splitext(os.path.basename(path))[0]
@@ -284,9 +327,13 @@ def _sweep_row(path):
 def cmd_sweep(args) -> int:
     # only this command and a large `interpolate` compile the worker code
     from .pool import run_shares, worker_count
-    from .sweep import sweep_configs
+    from .sweep import group_experiments, sweep_configs
 
-    paths = sweep_configs(args.config_dir)
+    configs = sweep_configs(args.config_dir, parse_config)
+    built = {}  # each distinct split, held for the whole sweep
+    experiments = [load_experiment(path, cfg, built) for path, cfg in configs]
+    paths = [e.path for e in experiments]
+    groups = group_experiments(experiments)
     outcomes, rows = {}, []
 
     def report(path, outcome):
@@ -298,9 +345,17 @@ def cmd_sweep(args) -> int:
             print(f"{name}: mode={mode} snapshots={m} ensemble_error={error:.4f}")
             rows.append([name, mode, epochs, m, _fmt(error)])
 
-    # With n workers, worker w trains configs w, w + n, w + 2n, ...
-    workers = worker_count(len(paths))
-    shares = [[(path, partial(_sweep_row, path)) for path in paths[w::workers]] for w in range(workers)]
+    # With n workers, worker w trains groups w, w + n, w + 2n, ... and
+    # finishes their configs in config order, so a share that stops at an
+    # error leaves only configs after it.
+    workers = worker_count(len(groups))
+    shares = []
+    for w in range(workers):
+        tasks = {}
+        for group in groups[w::workers]:
+            saved = run_experiment(group)
+            tasks.update((e.path, partial(_sweep_row, e.path, saved)) for e in group)
+        shares.append([(path, tasks[path]) for path in paths if path in tasks])
     run_shares(shares, report, "sweep")
     if len(rows) < len(paths):
         raise outcomes[paths[len(rows)]]

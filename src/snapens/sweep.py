@@ -1,21 +1,23 @@
 """Whole-sweep checks for `snapens sweep`, made before anything trains.
 
 Only `cli.cmd_sweep` imports this module, so the other commands do not
-compile it at start-up. The sweep trains its configs on `snapens.pool`'s
-forked workers.
+compile it at start-up. The sweep trains its groups of configs on
+`snapens.pool`'s forked workers.
 """
 from __future__ import annotations
 
 import os
 
-from .config import input_files, parse_config
+from .config import input_files
 from .errors import ConfigError, InputError
+from .trainer import trajectory_key
 
 
-def sweep_configs(config_dir):
-    """The sorted `.cfg` paths in config_dir, once every one parses and no two
-    touch the same files: each output.dir belongs to one config, and no config
-    reads its data from under another's output.dir."""
+def sweep_configs(config_dir, parse_config):
+    """(path, parse_config(path)) for each `.cfg` in config_dir, sorted by
+    path, once every one parses and no two touch the same files: each
+    output.dir belongs to one config, and no config reads its data from under
+    another's output.dir."""
     paths = sorted(
         os.path.join(config_dir, name) for name in os.listdir(config_dir) if name.endswith(".cfg")
     )
@@ -34,4 +36,16 @@ def sweep_configs(config_dir):
             for out, owner in owners.items():
                 if owner != path and os.path.commonpath([source, out]) == out:
                     raise ConfigError(f"{path} reads {name}, which lies under the output.dir of {owner}")
-    return paths
+    return configs
+
+
+def group_experiments(experiments):
+    """`cli.Experiment`s, in config order, split into groups that take the
+    same SGD steps: one training split (the same built object) and one
+    `trajectory_key`. Groups come in the order of their first member, and
+    each lists its members in config order."""
+    groups = {}
+    for experiment in experiments:
+        key = (id(experiment.train_set), trajectory_key(experiment.config))
+        groups.setdefault(key, []).append(experiment)
+    return list(groups.values())

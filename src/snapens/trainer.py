@@ -9,7 +9,9 @@ Four modes:
 
 All randomness (init, epoch shuffles, dropout masks, re-init seeds) derives
 from the config seed through tagged streams, so identical config + data give
-bit-identical results.
+bit-identical results. Configs that differ only in where they snapshot (one
+`trajectory_key`, e.g. single and nocycle) take the same steps, so
+`train_group` runs them in one loop.
 """
 from __future__ import annotations
 
@@ -142,7 +144,20 @@ def sgd_step(
     return params, velocity
 
 
-def _snapshot_iterations(config: TrainConfig, total: int) -> tuple[int, ...]:
+def trajectory_key(config: TrainConfig) -> str:
+    """What steers the SGD steps of `config`: every field but `snapshot_count`,
+    with `mode` reduced to whether each cycle re-initialises the parameters.
+    On one training split, configs with equal keys take the same steps float
+    for float and differ at most in where they snapshot (single and nocycle)."""
+    fields = asdict(config)
+    del fields["snapshot_count"]
+    fields["mode"] = config.mode == "singlecycle"
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
+def snapshot_iterations(config: TrainConfig) -> tuple[int, ...]:
+    """The iterations `config` snapshots after; a ConfigError when they do not fit T."""
+    total = config.schedule.total_iterations
     if config.schedule.kind == "cyclic_cosine":
         ends = cycle_end_iterations(config.schedule)
         if len(ends) != config.schedule.cycles:
@@ -161,6 +176,22 @@ def _snapshot_iterations(config: TrainConfig, total: int) -> tuple[int, ...]:
 
 def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     """Run SGD per the config and return the snapshots and loss history."""
+    return train_group([config], train_data)[0]
+
+
+def train_group(configs: list[TrainConfig], train_data: Dataset) -> list[RunManifest]:
+    """Run the SGD steps of configs that share one `trajectory_key` once, and
+    return each config's run, in order.
+
+    The loop captures the parameters at the union of the configs' snapshot
+    iterations. Each run gets its own records, numbered from 1, with its own
+    config digest, and the one loss history, so each equals the run `train`
+    returns for its config alone.
+    """
+    config = configs[0]
+    key = trajectory_key(config)
+    if any(trajectory_key(other) != key for other in configs[1:]):
+        raise InputError("configs trained in one loop must share one trajectory_key")
     n = len(train_data)
     total = iterations_for(n, config.batch_size, config.epochs)
     if total != config.schedule.total_iterations:
@@ -169,8 +200,9 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
             f"epochs x ceil(n/batch_size) = {total}"
         )
     check_labels(config.model, train_data.labels)
-    snapshot_at = set(_snapshot_iterations(config, total))
-    digest = config_digest(config)
+    # per config: its digest, its snapshot iterations and its records
+    runs = [(config_digest(c), set(snapshot_iterations(c)), []) for c in configs]
+    snapshot_at = set().union(*(at for _, at, _ in runs))
     cycle_len = config.schedule.cycle_length if config.schedule.kind == "cyclic_cosine" else None
     lrs = [lr_at(config.schedule, t) for t in range(1, total + 1)]
     dropout = config.model.dropout_rate > 0.0
@@ -185,7 +217,6 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     dim = train_data.inputs.shape[1]
     sizes = {min(config.batch_size, n), n % config.batch_size or config.batch_size}
     batches = {b: Batch(np.zeros((b, dim)), np.zeros(b, dtype=np.int64)) for b in sizes}
-    records: list[SnapshotRecord] = []
     epoch_losses: list[float] = []
     epoch_end_lrs: list[float] = []
 
@@ -215,20 +246,26 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
             sgd_step(params, grad, velocity, lrs[t - 1], config.momentum)
             batch_losses.append(loss)
             if t in snapshot_at:
-                records.append(
-                    SnapshotRecord(
-                        spec=config.model,
-                        params=params.copy(),
-                        cycle_index=len(records) + 1,
-                        iteration=t,
-                        train_loss=loss,
-                        config_digest=digest,
-                    )
-                )
+                captured = params.copy()  # read-only from here on, so the runs share it
+                for digest, at, records in runs:
+                    if t in at:
+                        records.append(
+                            SnapshotRecord(
+                                spec=config.model,
+                                params=captured,
+                                cycle_index=len(records) + 1,
+                                iteration=t,
+                                train_loss=loss,
+                                config_digest=digest,
+                            )
+                        )
         epoch_losses.append(float(np.mean(batch_losses)))
         epoch_end_lrs.append(lrs[t - 1])
 
-    return RunManifest(digest, records, epoch_losses, epoch_end_lrs)
+    return [
+        RunManifest(digest, records, list(epoch_losses), list(epoch_end_lrs))
+        for digest, _, records in runs
+    ]
 
 
 def _snapshot_name(index: int) -> str:

@@ -110,6 +110,44 @@ def test_train_csv_label_past_int64_exits_4_naming_the_file(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+# 4 rows, the third in the training split, with a label past a 2-class model's range
+BIG_LABEL_CSV = "f0,f1,label\n0.5,1.5,0\n-0.5,0.5,1\n0.25,-1.0,9223372036854775807\n1.0,0.0,1\n"
+LABEL_ERROR = "labels must lie in [0, 2) for a 2-class model"
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_label_error_names_the_config_and_the_data_file(tmp_path, monkeypatch, capsys, command):
+    data = tmp_path / "big_label.csv"
+    data.write_text(BIG_LABEL_CSV)
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    cfg = config_dir / "csv.cfg"
+    text = MOONS_CFG.format(out="r").replace("2,16,2", "2,4,2").replace("two_moons", "csv")
+    cfg.write_text(text.replace("n=200,noise=0.1,seed=3", f"path={data}"))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(cfg if command == "train" else config_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {data}: {LABEL_ERROR}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["ensemble"], ["curve"], ["correlate", "--out", "corr"], ["interpolate", "--pair", "1", "2", "--out", "i"]],
+    ids=lambda command: command[0],
+)
+def test_eval_label_error_names_the_data_file(tmp_path, monkeypatch, capsys, command):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(MOONS_CFG.format(out=tmp_path / "run").replace("2,16,2", "2,4,2"))
+    assert main(["train", str(cfg)]) == 0
+    data = tmp_path / "big_label.csv"
+    data.write_text(BIG_LABEL_CSV)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    argv = [command[0], "--manifest", str(tmp_path / "run" / "run.manifest"), "--data", str(data)]
+    assert main(argv + command[1:]) == 2
+    assert capsys.readouterr().err == f"config error: {data}: {LABEL_ERROR}\n"
+
+
 def test_train_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text(

@@ -104,7 +104,8 @@ def test_serial_and_parallel_sweeps_write_identical_bytes(
     parallel_code, parallel_out = sweep_in(tmp_path / "parallel", moons_sweep, monkeypatch, capsys)
 
     assert serial_code == parallel_code == 0
-    assert len(forks) == workers - 1
+    # one fork per group beyond the first: b_nocycle and c_single share one, so 3 groups
+    assert len(forks) == min(workers, 3) - 1
     serial_files = tree_digests(tmp_path / "serial")
     assert "summary.csv" in serial_files and "runs/d_snapshot/run.manifest" in serial_files
     assert serial_files == tree_digests(tmp_path / "parallel")
@@ -112,11 +113,15 @@ def test_serial_and_parallel_sweeps_write_identical_bytes(
     assert serial_out.out.splitlines()[0].startswith("a_snapshot: mode=snapshot snapshots=4 ")
 
 
-@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize(
+    "count, shared", [(1, False), (2, False), (1, True), (2, True)], ids=["1", "2", "1-shared", "2-shared"]
+)
 def test_divergence_in_the_middle_exits_3_after_the_configs_before_it(
-    moons_sweep, tmp_path, monkeypatch, capsys, deadline, count
+    moons_sweep, tmp_path, monkeypatch, capsys, deadline, count, shared
 ):
     write_config(moons_sweep, "b_nocycle", "runs/b_nocycle", mode="nocycle", alpha0=1e18)
+    if shared:  # c_single then takes b_nocycle's steps, so the pair diverges as one
+        write_config(moons_sweep, "c_single", "runs/c_single", mode="single", alpha0=1e18)
     cpus(monkeypatch, count)
     with np.errstate(all="ignore"):
         code, out = sweep_in(tmp_path / "work", moons_sweep, monkeypatch, capsys)
@@ -127,13 +132,36 @@ def test_divergence_in_the_middle_exits_3_after_the_configs_before_it(
     assert not (tmp_path / "work" / "summary.csv").exists()
 
 
+def test_shared_trajectory_trains_once_and_matches_lone_runs_byte_for_byte(
+    moons_sweep, tmp_path, monkeypatch, capsys
+):
+    trained = []
+    real_train = cli_mod.train
+
+    def counting_train(config, train_set, others=()):
+        trained.append((config.mode, [other.mode for other in others]))
+        return real_train(config, train_set, others)
+
+    cpus(monkeypatch, 1)
+    monkeypatch.setattr(cli_mod, "train", counting_train)
+    code, _ = sweep_in(tmp_path / "sweep", moons_sweep, monkeypatch, capsys)
+    assert code == 0
+    assert trained == [("snapshot", []), ("nocycle", ["single"]), ("snapshot", [])]
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    monkeypatch.chdir(lone)
+    for name in ("b_nocycle", "c_single"):
+        assert main(["train", str(moons_sweep / f"{name}.cfg")]) == 0
+        assert tree_digests(lone / "runs" / name) == tree_digests(tmp_path / "sweep" / "runs" / name)
+
+
 def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, monkeypatch, capfd, deadline):
     real_row = cli_mod._sweep_row
 
-    def crash_on_b(path):
+    def crash_on_b(path, *rest):
         if os.path.basename(path) == "b_nocycle.cfg":
             raise RuntimeError("boom")
-        return real_row(path)
+        return real_row(path, *rest)
 
     cpus(monkeypatch, 2)
     monkeypatch.setattr(cli_mod, "_sweep_row", crash_on_b)
@@ -154,14 +182,20 @@ def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, mon
         ("d_snapshot", lambda text: text.replace("epochs = 8", "epochs = 0"), "train.epochs must be >= 1"),
         ("d_snapshot", lambda text: text + "train.momentum = 1.0\n", "train.momentum must lie in [0, 1)"),
         ("d_snapshot", lambda text: text.replace("alpha0 = 0.2", "alpha0 = 0"), "schedule.alpha0 must be"),
+        ("d_snapshot", lambda text: text.replace("seed=3", "seed=-1"), "data.params: seed must be >= 0"),
+        ("d_snapshot", lambda text: text.replace("source = two_moons", "source = csv").replace(
+            "n=200,noise=0.1,seed=3", "path=labels.csv"), "labels.csv: labels must lie in [0, 2)"),
+        ("b_nocycle", lambda text: text.replace("cycles = 2", "cycles = 1000"),
+         "snapshot count exceeds total iterations"),  # T is 8 epochs of 4 batches
     ],
-    ids=["missing_key", "epochs_0", "momentum_1", "alpha0_0"],
+    ids=["missing_key", "epochs_0", "momentum_1", "alpha0_0", "data_seed", "csv_label_5", "nocycle_1000"],
 )
 def test_bad_config_exits_2_before_anything_trains(
     moons_sweep, tmp_path, monkeypatch, capsys, name, edit, message
 ):
     path = moons_sweep / f"{name}.cfg"
     path.write_text(edit(path.read_text()))
+    (tmp_path / "labels.csv").write_text("f0,f1,label\n" + "0.5,1.5,5\n" * 100)
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", str(moons_sweep)]) == 2
     err = capsys.readouterr().err

@@ -1,13 +1,14 @@
 import copy
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from snapens.config import ExperimentConfig, resolve_train_config
 from snapens.data import gen_blobs, gen_two_moons
 from snapens.errors import ConfigError, DivergenceError, InputError
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
-from snapens.schedule import ScheduleSpec, lr_at
+from snapens.schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec, lr_at
 from snapens.trainer import (
     TrainConfig,
     config_digest,
@@ -16,6 +17,8 @@ from snapens.trainer import (
     save_run,
     sgd_step,
     train,
+    train_group,
+    trajectory_key,
 )
 
 MODEL = ModelSpec((2, 8, 2))
@@ -33,25 +36,72 @@ def step_config(data_n, batch_size, epochs, mode, **kwargs):
     return TrainConfig(MODEL, schedule, mode, epochs, batch_size, **kwargs)
 
 
+def with_field(obj, path, value):
+    """A copy of obj with the (nested) field at path set to value. It bypasses
+    validation: only a hash's coverage is under test."""
+    name, *rest = path
+    out = copy.copy(obj)
+    inner = with_field(getattr(obj, name), rest, value) if rest else value
+    object.__setattr__(out, name, inner)
+    return out
+
+
+def field_paths():
+    """Every field of a TrainConfig and of its nested specs."""
+    paths = [(f.name,) for f in fields(TrainConfig) if f.name not in ("model", "schedule")]
+    paths += [("model", f.name) for f in fields(ModelSpec)]
+    paths += [("schedule", f.name) for f in fields(ScheduleSpec)]
+    return paths
+
+
 def test_config_digest_covers_every_field():
     """Changing any one field of a TrainConfig or of its nested specs changes
     the digest, so a field added later cannot escape it."""
     config = cyclic_config(100, 10, 4, 2, momentum=0.5, seed=3)
-
-    def with_field(obj, path, value):
-        # Bypass validation: only the digest's coverage is under test.
-        name, *rest = path
-        out = copy.copy(obj)
-        inner = with_field(getattr(obj, name), rest, value) if rest else value
-        object.__setattr__(out, name, inner)
-        return out
-
-    paths = [(f.name,) for f in fields(TrainConfig) if f.name not in ("model", "schedule")]
-    paths += [("model", f.name) for f in fields(ModelSpec)]
-    paths += [("schedule", f.name) for f in fields(ScheduleSpec)]
+    paths = field_paths()
     assert len(paths) == 15
     for path in paths:
         assert config_digest(with_field(config, path, "changed")) != config_digest(config), path
+
+
+def test_trajectory_key_covers_every_field_that_steers_a_step():
+    """Every field but the snapshot count and the mode steers the steps, so
+    changing it changes the key; of the mode, only re-initialising counts."""
+    config = cyclic_config(100, 10, 4, 2, momentum=0.5, seed=3)
+    paths = [path for path in field_paths() if path not in (("snapshot_count",), ("mode",))]
+    assert len(paths) == 13
+    for path in paths:
+        assert trajectory_key(with_field(config, path, "changed")) != trajectory_key(config), path
+    assert trajectory_key(replace(config, mode="singlecycle")) != trajectory_key(config)
+    single = step_config(100, 10, 4, "single", seed=3)
+    assert trajectory_key(single) == trajectory_key(replace(single, mode="nocycle", snapshot_count=5))
+    cfg = ExperimentConfig(MODEL, None, 0.1, 3, DEFAULT_STEP_FRACTIONS, "nocycle", 4, 10, 0.9, 0.0, 3,
+                           "two_moons", {}, "runs/a")
+    assert trajectory_key(resolve_train_config(cfg, 100)) == trajectory_key(
+        resolve_train_config(replace(cfg, output_dir="runs/b"), 100)
+    )
+
+
+def test_group_gives_each_config_the_run_it_gets_alone():
+    data = gen_two_moons(106, 0.1, seed=0)
+    single = step_config(106, 10, 3, "single", seed=4)
+    nocycle = replace(single, mode="nocycle", snapshot_count=3)
+    for config, grouped in zip([nocycle, single], train_group([nocycle, single], data)):
+        alone = train(config, data)
+        assert grouped.config_digest == alone.config_digest
+        assert (grouped.epoch_losses, grouped.epoch_end_lrs) == (alone.epoch_losses, alone.epoch_end_lrs)
+        assert [(r.cycle_index, r.iteration, r.train_loss, r.config_digest, r.params.tobytes())
+                for r in grouped.snapshots] == [
+            (r.cycle_index, r.iteration, r.train_loss, r.config_digest, r.params.tobytes())
+            for r in alone.snapshots
+        ]
+
+
+def test_group_with_two_trajectories_is_refused():
+    data = gen_two_moons(106, 0.1, seed=0)
+    single = step_config(106, 10, 3, "single", seed=4)
+    with pytest.raises(InputError, match="trajectory_key"):
+        train_group([single, replace(single, seed=5)], data)
 
 
 def test_sgd_step_vanilla():
