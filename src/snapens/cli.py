@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from collections import namedtuple
@@ -25,9 +26,10 @@ from .errors import (
     FormatError,
     InputError,
     StorageError,
+    UndefinedCorrelationError,
 )
 from .nn import check_labels
-from .store import load_run
+from .store import load_run, write_atomically
 
 TRAIN_CSV_NAME = "train.csv"
 TEST_CSV_NAME = "test.csv"
@@ -57,19 +59,15 @@ def train(config, train_set, others=()):
 
 
 def _write_rows(out, header, rows):
-    """Write CSV rows to a file path, or stdout when out is None."""
-
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
+    """Write CSV rows to stdout when out is None, else atomically to the file out."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
     if out is None:
-        emit(sys.stdout)
+        sys.stdout.write(text.getvalue())
     else:
-        with open(out, "w", newline="") as fh:
-            emit(fh)
+        write_atomically(out, (text.getvalue().encode(),), "CSV")
 
 
 def _fmt(value) -> str:
@@ -94,9 +92,9 @@ def load_experiment(path, cfg, built):
     Its split comes from `built`, keyed by data.source and data.params, and
     is built into it when missing, so configs with the same data share one
     split. Every check a run makes before its first step runs here, and each
-    failure names the config file: the data.params values, the training
-    labels against the model's class count (naming the data file too) and
-    whether the snapshots fit T.
+    failure names the config file: the data.params values, the labels of
+    both splits against the model's class count (naming the data file too)
+    and whether the snapshots fit T.
     """
     from .config import input_files, resolve_train_config
     from .trainer import snapshot_iterations
@@ -108,7 +106,8 @@ def load_experiment(path, cfg, built):
         train_set, test_set = built[key]
         config = resolve_train_config(cfg, len(train_set))
         try:
-            check_labels(config.model, train_set.labels)
+            for split in (train_set, test_set):
+                check_labels(config.model, split.labels)
         except InputError as exc:
             raise ConfigError(": ".join([*input_files(cfg)[-1:], str(exc)])) from None
         snapshot_iterations(config)
@@ -432,7 +431,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, UndefinedCorrelationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

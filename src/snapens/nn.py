@@ -134,63 +134,22 @@ def _check_features(layers, inputs) -> None:
         raise InputError(f"inputs have {inputs.shape[1]} features, spec expects {n_in}")
 
 
-def _forward_cached(layers, inputs, drop, dropout_seed):
-    """Forward pass keeping pre-activations, activations and dropout masks."""
-    _check_features(layers, inputs)
-    rng = np.random.default_rng(dropout_seed) if drop > 0.0 else None
-    keep = 1.0 - drop
+def _layer_loop(layers, inputs, drop, dropout_seed, block):
+    """Logits and the hidden-layer buffers of one pass over `inputs`.
 
-    activations = [inputs]
-    pre_acts = []
-    masks = []
-    a = inputs
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        z = a @ w
-        z += b
-        if i == last:
-            return z, pre_acts, activations, masks, keep
-        pre_acts.append(z)
-        a = np.maximum(z, 0.0)
-        if drop > 0.0:
-            mask = rng.random(a.shape) < keep
-            a *= mask
-            a /= keep
-        else:
-            mask = None
-        masks.append(mask)
-        activations.append(a)
-    raise AssertionError("unreachable")
-
-
-def forward(
-    spec: ModelSpec,
-    params: ParamVector,
-    batch: Batch,
-    mode: str = "eval",
-    dropout_seed: int = 0,
-) -> np.ndarray:
-    """Logits matrix (batch_size x K). Eval mode is deterministic and dropout-free.
-
-    Rows go through in blocks of EVAL_BLOCK_ROWS, the last one shorter. Each
+    Rows go through in blocks of `block`, the last one shorter. Each hidden
     layer writes into one block-sized buffer, allocated once per call and
-    reused by every block, so a large batch does not fault in fresh
-    full-batch activation arrays on every call. The float ops per row are
-    those of `loss_and_grad`'s forward pass. Train mode with dropout runs the
-    whole batch as one block, so its masks are those `loss_and_grad` draws
-    for the same seed.
+    reused by every block; after a single-block pass the buffers hold every
+    row's activations, relu(z) * mask / keep. With dropout, callers pass a
+    block that covers the whole batch, so the masks for a seed are the same
+    in training and in `forward`.
     """
-    _check_mode(mode)
-    drop = spec.dropout_rate if mode == "train" else 0.0
-    layers = layer_views(spec, params)
-    inputs = batch.inputs
     _check_features(layers, inputs)
-    n = len(batch)
-    block = max(n, 1) if drop > 0.0 else EVAL_BLOCK_ROWS
+    n = inputs.shape[0]
     rng = np.random.default_rng(dropout_seed) if drop > 0.0 else None
     keep = 1.0 - drop
     hidden = [np.empty((min(n, block), w.shape[1])) for w, _ in layers[:-1]]
-    logits = np.empty((n, spec.class_count))
+    logits = np.empty((n, layers[-1][0].shape[1]))
     for start in range(0, n, block):
         stop = min(start + block, n)
         a = inputs[start:stop]
@@ -204,7 +163,27 @@ def forward(
                     z *= rng.random(z.shape) < keep
                     z /= keep
             a = z
-    return logits
+    return logits, hidden
+
+
+def forward(
+    spec: ModelSpec,
+    params: ParamVector,
+    batch: Batch,
+    mode: str = "eval",
+    dropout_seed: int = 0,
+) -> np.ndarray:
+    """Logits matrix (batch_size x K). Eval mode is deterministic and dropout-free.
+
+    Rows go through in blocks of EVAL_BLOCK_ROWS, so a large batch does not
+    fault in fresh full-batch activation arrays on every call. The layer loop
+    is `loss_and_grad`'s. Train mode with dropout runs the whole batch as one
+    block, so its masks are those `loss_and_grad` draws for the same seed.
+    """
+    _check_mode(mode)
+    drop = spec.dropout_rate if mode == "train" else 0.0
+    block = max(len(batch), 1) if drop > 0.0 else EVAL_BLOCK_ROWS
+    return _layer_loop(layer_views(spec, params), batch.inputs, drop, dropout_seed, block)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -241,10 +220,9 @@ def loss_and_grad(
     else:
         raise InputError("with a workspace, params must be the workspace's own vector")
     drop = spec.dropout_rate if mode == "train" else 0.0
-    logits, pre_acts, activations, masks, keep = _forward_cached(
-        layers, batch.inputs, drop, dropout_seed
-    )
     n = len(batch)
+    logits, hidden = _layer_loop(layers, batch.inputs, drop, dropout_seed, max(n, 1))
+    activations = [batch.inputs, *hidden]
     rows = np.arange(n)
     labels = batch.labels
     logits -= logits.max(axis=1, keepdims=True)
@@ -263,10 +241,9 @@ def loss_and_grad(
         np.add.reduce(delta, axis=0, out=gb)
         if i > 0:
             delta = delta @ layers[i][0].T
-            if masks[i - 1] is not None:
-                delta *= masks[i - 1]
-                delta /= keep
-            delta *= pre_acts[i - 1] > 0.0
+            delta *= activations[i] > 0.0  # a unit that is off or dropped passes none
+            if drop > 0.0:
+                delta /= 1.0 - drop
     return loss, grad
 
 

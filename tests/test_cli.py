@@ -1,3 +1,4 @@
+import errno
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from snapens.cli import main
 from snapens.data import load_csv
 from snapens.errors import StorageError
-from snapens.store import load_run
+from snapens.store import load_run, write_snapshot
 
 MOONS_CFG = """\
 model.layers = 2,16,2
@@ -112,13 +113,16 @@ def test_train_csv_label_past_int64_exits_4_naming_the_file(tmp_path, capsys):
 
 # 4 rows, the third in the training split, with a label past a 2-class model's range
 BIG_LABEL_CSV = "f0,f1,label\n0.5,1.5,0\n-0.5,0.5,1\n0.25,-1.0,9223372036854775807\n1.0,0.0,1\n"
+# 4 rows whose label 5, past a 2-class model's range, falls in the test split
+TEST_SPLIT_LABEL_CSV = "f0,f1,label\n0.1,0.2,0\n0.3,0.1,1\n0.5,0.5,0\n0.2,0.9,5\n"
 LABEL_ERROR = "labels must lie in [0, 2) for a 2-class model"
 
 
+@pytest.mark.parametrize("rows", [BIG_LABEL_CSV, TEST_SPLIT_LABEL_CSV], ids=["train_split", "test_split"])
 @pytest.mark.parametrize("command", ["train", "sweep"])
-def test_label_error_names_the_config_and_the_data_file(tmp_path, monkeypatch, capsys, command):
+def test_label_error_names_the_config_and_the_data_file(tmp_path, monkeypatch, capsys, command, rows):
     data = tmp_path / "big_label.csv"
-    data.write_text(BIG_LABEL_CSV)
+    data.write_text(rows)
     config_dir = tmp_path / "cfgs"
     config_dir.mkdir()
     cfg = config_dir / "csv.cfg"
@@ -332,6 +336,67 @@ def test_correlate_outputs_matrix_and_triples(run_dir, tmp_path):
     assert len(triple_rows) == 1 + 16
     diag = [r for r in triple_rows[1:] if r.split(",")[0] == r.split(",")[1]]
     assert all(r.split(",")[2] == "1.0" for r in diag)
+
+
+def test_correlate_of_flat_snapshots_exits_2_naming_one(run_dir, capsys):
+    for k, record in enumerate(load_run(run_dir / "run.manifest"), start=1):
+        record.params = np.zeros_like(record.params)  # every row scores 0.5, 0.5
+        write_snapshot(record, run_dir / f"snap_{k:03d}.snap")
+    assert main(["correlate", "--manifest", str(run_dir / "run.manifest"),
+                 "--data", str(run_dir / "test.csv"), "--out", str(run_dir / "corr")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: zero-variance softmax outputs for snapshot 'snapshot_1'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (["ensemble", "--out", "{tmp}/out.csv"], "out.csv"),
+        (["curve", "--out", "{tmp}/out.csv"], "out.csv"),
+        (["interpolate", "--pair", "1", "2", "--points", "3", "--out", "{tmp}/i"], "i/interp_001_002.csv"),
+        (["correlate", "--out", "{tmp}/corr"], "corr/corr_matrix.csv"),
+        (["sweep", "{tmp}/cfgs", "--summary", "{tmp}/summary.csv"], "summary.csv"),
+    ],
+    ids=["ensemble", "curve", "interpolate", "correlate", "sweep"],
+)
+def test_failed_output_write_keeps_the_old_file_and_exits_4_naming_it(
+    run_dir, tmp_path, monkeypatch, capsys, command, target
+):
+    (tmp_path / "cfgs").mkdir()
+    (tmp_path / "cfgs" / "exp.cfg").write_text(MOONS_CFG.format(out=tmp_path / "swept"))
+    target = tmp_path / target
+    target.parent.mkdir(exist_ok=True)
+    target.write_text("old\n")
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and os.fspath(path).startswith(str(target)):
+            return FullDisk(fh)
+        return fh
+
+    monkeypatch.setattr("builtins.open", full_disk_open)
+    argv = [arg.format(tmp=tmp_path) for arg in command]
+    if command[0] != "sweep":
+        argv += ["--manifest", str(run_dir / "run.manifest"), "--data", str(run_dir / "test.csv")]
+    assert main(argv) == 4
+    assert target.read_text() == "old\n"
+    assert not list(target.parent.glob("*.tmp"))
+    assert f"i/o error: cannot write CSV {target}: " in capsys.readouterr().err
 
 
 def test_sweep_runs_all_configs_and_joins(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, fd_relative_error, oracle_error_rate
 from snapens.errors import InputError
 from snapens.nn import (
+    EVAL_BLOCK_ROWS,
     Batch,
-    _forward_cached,
     ModelSpec,
     Workspace,
     evaluate_error,
@@ -124,9 +124,29 @@ def _trained_like(sizes, rows, seed):
     return spec, params, Batch(rng.normal(size=(rows, sizes[0])), np.zeros(rows, int))
 
 
+def _full_batch_forward(spec, params, inputs, drop=0.0, seed=0):
+    """The whole batch through every layer at once, written apart from `nn`:
+    the logits, each layer's input, and each hidden layer's pre-activation
+    and dropout mask (None without dropout), masks drawn layer by layer."""
+    rng = np.random.default_rng(seed)
+    layers = layer_views(spec, params)
+    a, layer_inputs, pre_acts, masks = inputs, [], [], []
+    for w, b in layers:
+        layer_inputs.append(a)
+        z = a @ w
+        z += b
+        if len(layer_inputs) == len(layers):
+            return z, layer_inputs, pre_acts, masks
+        pre_acts.append(z)
+        a = np.maximum(z, 0.0)
+        masks.append(rng.random(a.shape) < 1.0 - drop if drop > 0.0 else None)
+        if drop > 0.0:
+            a *= masks[-1]
+            a /= 1.0 - drop
+
+
 def _full_batch_probabilities(spec, params, batch):
-    logits, *_ = _forward_cached(layer_views(spec, params), batch.inputs, 0.0, 0)
-    return softmax(logits)
+    return softmax(_full_batch_forward(spec, params, batch.inputs)[0])
 
 
 @pytest.mark.parametrize(
@@ -156,7 +176,7 @@ def test_eval_forward_matches_full_batch_to_the_last_bits(sizes, rows):
 def test_train_forward_with_dropout_keeps_the_full_batch_mask_stream():
     spec = ModelSpec((2, 16, 16, 2), dropout_rate=0.3)
     _, params, batch = _trained_like((2, 16, 16, 2), 1100, 33)
-    logits, *_ = _forward_cached(layer_views(spec, params), batch.inputs, 0.3, 77)
+    logits, *_ = _full_batch_forward(spec, params, batch.inputs, 0.3, 77)
     assert forward(spec, params, batch, "train", dropout_seed=77).tobytes() == logits.tobytes()
 
 
@@ -287,6 +307,43 @@ def test_workspace_gradient_is_bit_identical_and_written_in_place(dropout_rate):
     assert ws_grad is workspace.grad
     assert ws_loss == loss
     assert ws_grad.tobytes() == grad.tobytes()
+
+
+def _full_batch_loss_and_grad(spec, params, batch, drop, seed):
+    """Mean cross-entropy and its gradient by a backward pass that applies
+    the reference forward's explicit masks and pre-activation signs."""
+    logits, layer_inputs, pre_acts, masks = _full_batch_forward(spec, params, batch.inputs, drop, seed)
+    n = len(batch)
+    rows = np.arange(n)
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    expsum = exp.sum(axis=1, keepdims=True)
+    loss = float(np.add.reduce(np.log(expsum[:, 0]) - logits[rows, batch.labels]) / n)
+    delta = exp / expsum
+    delta[rows, batch.labels] -= 1.0
+    delta /= n
+    grads = []
+    for i in range(len(layer_inputs) - 1, -1, -1):
+        grads[:0] = [(layer_inputs[i].T @ delta).ravel(), delta.sum(axis=0)]
+        if i > 0:
+            delta = delta @ layer_views(spec, params)[i][0].T
+            if masks[i - 1] is not None:
+                delta *= masks[i - 1]
+                delta /= 1.0 - drop
+            delta *= pre_acts[i - 1] > 0.0
+    return loss, np.concatenate(grads)
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.3])
+def test_loss_and_grad_on_a_batch_past_the_eval_block_matches_the_full_batch_reference(dropout_rate):
+    spec = ModelSpec((2, 64, 64, 2), dropout_rate=dropout_rate)
+    _, params, batch = _trained_like((2, 64, 64, 2), 1100, 34)
+    batch = Batch(batch.inputs, np.random.default_rng(35).integers(0, 2, len(batch)))
+    assert len(batch) > EVAL_BLOCK_ROWS
+    loss, grad = loss_and_grad(spec, params, batch, "train", dropout_seed=78)
+    ref_loss, ref_grad = _full_batch_loss_and_grad(spec, params, batch, dropout_rate, 78)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_workspace_rejects_foreign_params():

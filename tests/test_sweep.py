@@ -175,6 +175,10 @@ def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, mon
     assert not (tmp_path / "summary.csv").exists()
 
 
+# 4 rows whose label 5, past a 2-class model's range, falls in the test split
+TEST_SPLIT_LABEL_CSV = "f0,f1,label\n0.1,0.2,0\n0.3,0.1,1\n0.5,0.5,0\n0.2,0.9,5\n"
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
@@ -185,10 +189,13 @@ def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, mon
         ("d_snapshot", lambda text: text.replace("seed=3", "seed=-1"), "data.params: seed must be >= 0"),
         ("d_snapshot", lambda text: text.replace("source = two_moons", "source = csv").replace(
             "n=200,noise=0.1,seed=3", "path=labels.csv"), "labels.csv: labels must lie in [0, 2)"),
+        ("d_snapshot", lambda text: text.replace("source = two_moons", "source = csv").replace(
+            "n=200,noise=0.1,seed=3", "path=test_label.csv"), "test_label.csv: labels must lie in [0, 2)"),
         ("b_nocycle", lambda text: text.replace("cycles = 2", "cycles = 1000"),
          "snapshot count exceeds total iterations"),  # T is 8 epochs of 4 batches
     ],
-    ids=["missing_key", "epochs_0", "momentum_1", "alpha0_0", "data_seed", "csv_label_5", "nocycle_1000"],
+    ids=["missing_key", "epochs_0", "momentum_1", "alpha0_0", "data_seed", "csv_label_5",
+         "csv_test_split_label_5", "nocycle_1000"],
 )
 def test_bad_config_exits_2_before_anything_trains(
     moons_sweep, tmp_path, monkeypatch, capsys, name, edit, message
@@ -196,6 +203,7 @@ def test_bad_config_exits_2_before_anything_trains(
     path = moons_sweep / f"{name}.cfg"
     path.write_text(edit(path.read_text()))
     (tmp_path / "labels.csv").write_text("f0,f1,label\n" + "0.5,1.5,5\n" * 100)
+    (tmp_path / "test_label.csv").write_text(TEST_SPLIT_LABEL_CSV)
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", str(moons_sweep)]) == 2
     err = capsys.readouterr().err
