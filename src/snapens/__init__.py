@@ -60,7 +60,9 @@ _EXPORTS = {
     "store": (
         "ManifestFile",
         "SnapshotRecord",
+        "StoredSnapshot",
         "load_run",
+        "read_header",
         "read_manifest",
         "read_snapshot",
         "write_manifest",

@@ -44,7 +44,8 @@ def interpolate(
 
     A caller that already knows the test error of theta1 or theta2 on
     `dataset` passes it in, and the lam=1 or lam=0 point takes it instead of
-    a forward pass.
+    a forward pass. Each interior point is computed into two buffers made
+    once per curve, with the float operations of `lam*theta1 + (1-lam)*theta2`.
     """
     theta1 = np.asarray(theta1, dtype=np.float64)
     theta2 = np.asarray(theta2, dtype=np.float64)
@@ -59,14 +60,17 @@ def interpolate(
         raise InputError("lambda_grid must be strictly increasing")
 
     errors = np.empty_like(grid)
+    mixed, other = np.empty_like(theta1), np.empty_like(theta2)
     for i, lam in enumerate(grid):
         if lam == 0.0:
-            mixed, known = theta2, theta2_error
+            point, known = theta2, theta2_error
         elif lam == 1.0:
-            mixed, known = theta1, theta1_error
+            point, known = theta1, theta1_error
         else:
-            mixed, known = lam * theta1 + (1.0 - lam) * theta2, None
-        errors[i] = evaluate_error(spec, mixed, dataset) if known is None else known
+            np.multiply(theta1, lam, out=mixed)
+            np.add(mixed, np.multiply(theta2, 1.0 - lam, out=other), out=mixed)
+            point, known = mixed, None
+        errors[i] = evaluate_error(spec, point, dataset) if known is None else known
     return InterpolationCurve(grid, errors)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     StorageError,
     UndefinedCorrelationError,
 )
-from .nn import check_labels
+from .nn import check_labels, param_count
 from .store import load_run, write_atomically
 
 TRAIN_CSV_NAME = "train.csv"
@@ -50,12 +50,13 @@ def build_datasets(cfg):
     return build_datasets(cfg)
 
 
-def train(config, train_set, others=()):
+def train(config, train_set, others=(), out_dirs=None):
     """Train `config` and the configs in `others`, which share its trajectory,
-    in one SGD loop: their runs, `config`'s first."""
+    in one SGD loop: their runs, `config`'s first. With `out_dirs`, one per
+    config, each run stages its snapshots in its directory as it takes them."""
     from .trainer import train_group
 
-    return train_group([config, *others], train_set)
+    return train_group([config, *others], train_set, out_dirs)
 
 
 def _write_rows(out, header, rows):
@@ -130,14 +131,19 @@ def run_experiment(group):
     A generator: it trains on the first `next` and yields each experiment's
     (cfg, run manifest, test set, path of the saved `run.manifest`) once that
     directory is saved, so an error while saving stops at that experiment.
+    Training stages each snapshot in its run directory as it is taken; an
+    error, or a close before every directory is saved, removes the staged
+    files (see `trainer.staging`).
     """
-    from .trainer import save_run
+    from .trainer import save_run, staging
 
     first, *rest = group
-    runs = train(first.config, first.train_set, [e.config for e in rest])
-    for experiment, manifest in zip(group, runs):
-        manifest_path = save_run(manifest, experiment.cfg.output_dir, partial(_save_splits, experiment))
-        yield experiment.cfg, manifest, experiment.test_set, manifest_path
+    out_dirs = [e.cfg.output_dir for e in group]
+    with staging(out_dirs):
+        runs = train(first.config, first.train_set, [e.config for e in rest], out_dirs)
+        for experiment, manifest in zip(group, runs):
+            manifest_path = save_run(manifest, experiment.cfg.output_dir, partial(_save_splits, experiment))
+            yield experiment.cfg, manifest, experiment.test_set, manifest_path
 
 
 def cmd_train(args) -> int:
@@ -149,8 +155,9 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args):
-    """The snapshots `--manifest` names and the dataset in `--data`, whose
-    feature count must be the snapshots' input size."""
+    """The snapshots `--manifest` names, each header and payload length
+    checked but no payload read, and the dataset in `--data`, whose feature
+    count must be the snapshots' input size."""
     records, dataset = load_run(args.manifest), load_csv(args.data)
     expected = records[0].spec.layer_sizes[0]
     if dataset.inputs.shape[1] != expected:
@@ -208,14 +215,21 @@ FORK_MIN_WORK = 2e8
 def _curve_tasks(records, dataset, pairs, grid):
     """One task per pair that returns its InterpolationCurve on `grid`. The
     tasks share one memo of each snapshot's error, so run in order they
-    score each snapshot at most once."""
+    score each snapshot at most once. A task reads the parameters of its
+    pair's second snapshot, and of its first unless the task before it had
+    the same first one, as every `--against-final` pair does: so each
+    snapshot is read once and at most one pair is held."""
     scored = {}  # snapshot index -> its test error
+    held = {}  # index -> parameters of the last task's first snapshot
 
     def curve_of(i, j):
+        if i not in held:
+            held.clear()
+            held[i] = records[i - 1].params
         curve = interpolate(
             records[i - 1].spec,
-            records[i - 1].params,
-            records[j - 1].params,
+            held[i],
+            held[i] if j == i else records[j - 1].params,
             dataset,
             grid,
             scored.get(i),
@@ -269,7 +283,7 @@ def cmd_interpolate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, f"interp_{i:03d}_{j:03d}.csv") for i, j in pairs]
     workers = 1
-    if len(pairs) * len(grid) * len(dataset) * records[0].params.size > FORK_MIN_WORK:
+    if len(pairs) * len(grid) * len(dataset) * param_count(records[0].spec) > FORK_MIN_WORK:
         from .pool import worker_count
 
         workers = worker_count(len(grid))
@@ -315,10 +329,12 @@ def cmd_correlate(args) -> int:
 
 def _sweep_row(path, saved):
     """Finish one sweep config: take its saved run from `saved`, its group's
-    `run_experiment`, and score its whole snapshot ensemble: its summary row."""
-    cfg, manifest, test_set, _ = next(saved)
-    m = len(manifest.snapshots)
-    result = ensemble_eval(manifest.snapshots, test_set, m, "latest")
+    `run_experiment`, and score its whole snapshot ensemble as read back from
+    disk: its summary row."""
+    cfg, _, test_set, manifest_path = next(saved)
+    records = load_run(manifest_path)
+    m = len(records)
+    result = ensemble_eval(records, test_set, m, "latest")
     name = os.path.splitext(os.path.basename(path))[0]
     return [name, cfg.mode, cfg.epochs, m, result.ensemble_error]
 

@@ -294,8 +294,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     payload = blob[16:]
     if len(payload) != count * rows * cols:
         raise FormatError(f"{images_path}: images payload length mismatch")
-    pixels = np.frombuffer(payload, np.uint8).astype(np.float64) / 255.0
-    inputs = pixels.reshape(count, rows * cols)
+    inputs = np.frombuffer(payload, np.uint8).astype(np.float64).reshape(count, rows * cols)
+    inputs /= 255.0  # in place: one N x D float64 array
 
     with open(labels_path, "rb") as fh:
         blob = fh.read()

@@ -54,8 +54,10 @@ def _score(
 ) -> tuple[list[float], list[float]]:
     """Member errors, and growing-ensemble errors for m = 1..M at the chosen end.
 
-    Checks the labels once and predicts each record once; entry m - 1 of the
-    second list scores the mean of the m predictions `_take` picks.
+    Checks the labels once and predicts each record once, reading its
+    parameters, which a `StoredSnapshot` reads from its file, only for that
+    predict; entry m - 1 of the second list scores the mean of the m
+    predictions `_take` picks.
     """
     if order not in ORDERS:
         raise InputError(f"order must be one of {ORDERS}, got {order!r}")

@@ -53,11 +53,33 @@ class SnapshotRecord:
             raise FormatError("config_digest must be 16 bytes")
 
 
+@dataclass
+class StoredSnapshot:
+    """A snapshot file whose header and payload length have been checked.
+
+    It holds the header's fields only. Each use of `params` reads the payload
+    through `read_snapshot` and keeps nothing, so a caller that uses one
+    snapshot at a time holds one parameter vector at a time.
+    """
+
+    path: str
+    spec: ModelSpec
+    cycle_index: int
+    iteration: int
+    train_loss: float
+    config_digest: bytes
+
+    @property
+    def params(self) -> ParamVector:
+        return read_snapshot(self.path).params
+
+
 def write_atomically(path, chunks, what: str) -> None:
     """Write byte chunks to `<path>.tmp`, then rename it over `path`.
 
-    On failure the temp file is removed and `path` keeps its old bytes; the
-    OSError becomes a StorageError naming `what` and the path.
+    On any exception, from the file system or from `chunks`, the temp file is
+    removed, `path` keeps its old bytes and the exception goes on; an OSError
+    becomes a StorageError naming `what` and the path.
     """
     tmp_path = f"{os.fspath(path)}.tmp"
     try:
@@ -65,10 +87,12 @@ def write_atomically(path, chunks, what: str) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp_path, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp_path)
-        raise StorageError(f"cannot write {what} {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise StorageError(f"cannot write {what} {path}: {exc}") from exc
+        raise
 
 
 def _field_bytes(fields) -> bytes:
@@ -124,22 +148,52 @@ def write_snapshot(record: SnapshotRecord, path) -> None:
             ("config_digest", record.config_digest.hex()),
         ]
     )
-    payload = record.params.astype("<f8", copy=False).tobytes()
-    write_atomically(path, (header, b"\n\n", payload), "snapshot")
+    payload = np.ascontiguousarray(record.params, dtype="<f8")  # no copy of a float64 vector
+    write_atomically(path, (header, b"\n\n", memoryview(payload).cast("B")), "snapshot")
 
 
 def read_snapshot(path) -> SnapshotRecord:
     """Inverse of write_snapshot; validates payload length against the header."""
     try:
         with open(path, "rb") as fh:
-            return _read_snapshot(fh, path)
+            header, start = _read_header(fh, path)
+            # read the payload once, with readinto, straight into the parameter array
+            expected = 8 * param_count(header.spec)
+            params = np.empty(expected // 8, dtype="<f8")
+            payload = memoryview(params).cast("B")
+            start = start[:expected]
+            payload[: len(start)] = start
+            length = len(start) + fh.readinto(payload[len(start) :]) + len(fh.read())
+    except OSError as exc:
+        raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
+    _check_payload_length(path, length, expected)
+    return SnapshotRecord(
+        header.spec, params.astype(np.float64, copy=False), header.cycle_index, header.iteration,
+        header.train_loss, header.config_digest
+    )
+
+
+def read_header(path) -> StoredSnapshot:
+    """The header of the snapshot file at `path`, once the file's size gives
+    the payload length the header asks for; the payload is not read."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_header(fh, path)[0]
     except OSError as exc:
         raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
 
 
-def _read_snapshot(fh, path) -> SnapshotRecord:
-    """Read the header in 4 KB steps up to its blank line and check it, then
-    read the payload once, with readinto, straight into the parameter array."""
+def _check_payload_length(path, length: int, expected: int) -> None:
+    if length != expected:
+        raise FormatError(
+            f"{path}: payload length {length} != expected {expected} bytes"
+        )
+
+
+def _read_header(fh, path) -> tuple[StoredSnapshot, bytes]:
+    """Read the header in 4 KB steps up to its blank line and check it and the
+    payload length the file's size gives. Returns the header and the payload
+    bytes read along with it."""
     head = fh.read(4096)
     while (sep := head.find(b"\n\n")) < 0:
         more = fh.read(max(len(head), 4096))
@@ -165,23 +219,13 @@ def _read_snapshot(fh, path) -> SnapshotRecord:
         train_loss = float(fields["train_loss"])
     except ValueError as exc:
         raise FormatError(f"{path}: bad numeric header field: {exc}") from None
-
-    expected = 8 * param_count(spec)
+    # checked before anyone allocates what the header asks for
     length = os.fstat(fh.fileno()).st_size - (sep + 2)
-    if length == expected:  # checked before allocating what the header asks for
-        params = np.empty(expected // 8, dtype="<f8")
-        payload = memoryview(params).cast("B")
-        start = head[sep + 2 : sep + 2 + expected]
-        payload[: len(start)] = start
-        length = len(start) + fh.readinto(payload[len(start) :]) + len(fh.read())
-    if length != expected:
-        raise FormatError(
-            f"{path}: payload length {length} != expected {expected} bytes"
-        )
-    return SnapshotRecord(
-        spec, params.astype(np.float64, copy=False), cycle_index, iteration, train_loss,
-        fields["config_digest"]
+    _check_payload_length(path, length, 8 * param_count(spec))
+    stored = StoredSnapshot(
+        os.fspath(path), spec, cycle_index, iteration, train_loss, fields["config_digest"]
     )
+    return stored, head[sep + 2 :]
 
 
 @dataclass
@@ -219,8 +263,10 @@ def read_manifest(path) -> ManifestFile:
     return ManifestFile(fields["config_digest"], files)
 
 
-def load_run(manifest_path) -> list[SnapshotRecord]:
-    """Read a manifest and all snapshots it references, in chronological order."""
+def load_run(manifest_path) -> list[StoredSnapshot]:
+    """Read a manifest and check the header and payload length of every
+    snapshot it references. Returns them in chronological order; each reads
+    its payload when a caller uses its `params`."""
     manifest = read_manifest(manifest_path)
     base = os.path.dirname(os.fspath(manifest_path))
-    return [read_snapshot(os.path.join(base, name)) for name in manifest.snapshot_files]
+    return [read_header(os.path.join(base, name)) for name in manifest.snapshot_files]

@@ -12,6 +12,11 @@ from the config seed through tagged streams, so identical config + data give
 bit-identical results. Configs that differ only in where they snapshot (one
 `trajectory_key`, e.g. single and nocycle) take the same steps, so
 `train_group` runs them in one loop.
+
+Given run directories, the loop writes each snapshot from the live parameter
+vector to a staging name (`snap_NNN.snap.staged`) as it captures it, and
+`save_run` moves the staged files into place, so a run holds one parameter
+vector however many snapshots it takes.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .data import Dataset
 from .errors import ConfigError, DivergenceError, InputError, StorageError
 from .nn import Batch, GradVector, ModelSpec, ParamVector, Workspace, check_labels, init_params, loss_and_grad
 from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
-from .store import ManifestFile, SnapshotRecord, write_atomically, write_manifest, write_snapshot
+from .store import ManifestFile, SnapshotRecord, StoredSnapshot, write_atomically, write_manifest, write_snapshot
 
 # Each mode fixes its learning-rate schedule kind.
 MODE_SCHEDULE = {
@@ -42,6 +47,7 @@ MODES = tuple(MODE_SCHEDULE)
 
 MANIFEST_NAME = "run.manifest"
 LOSS_CSV_NAME = "loss.csv"
+STAGED_SUFFIX = ".staged"  # a captured snapshot that save_run has not moved into place
 
 
 def _schedule_kind(mode: str) -> str:
@@ -94,7 +100,7 @@ class RunManifest:
     """In-memory result of one training run."""
 
     config_digest: bytes
-    snapshots: list[SnapshotRecord]
+    snapshots: list[SnapshotRecord | StoredSnapshot]
     epoch_losses: list[float]
     epoch_end_lrs: list[float]
 
@@ -179,14 +185,21 @@ def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     return train_group([config], train_data)[0]
 
 
-def train_group(configs: list[TrainConfig], train_data: Dataset) -> list[RunManifest]:
+def train_group(
+    configs: list[TrainConfig], train_data: Dataset, out_dirs=None
+) -> list[RunManifest]:
     """Run the SGD steps of configs that share one `trajectory_key` once, and
     return each config's run, in order.
 
     The loop captures the parameters at the union of the configs' snapshot
     iterations. Each run gets its own records, numbered from 1, with its own
     config digest, and the one loss history, so each equals the run `train`
-    returns for its config alone.
+    returns for its config alone. Without `out_dirs` a record holds a copy of
+    the parameters, shared by the runs that capture at that iteration. With
+    `out_dirs`, one existing directory per config (see `staging`), each
+    capture writes the live parameters to the staging name of that snapshot
+    in the config's directory and the run holds `StoredSnapshot`s of those
+    files, for `save_run` to move into place.
     """
     config = configs[0]
     key = trajectory_key(config)
@@ -246,19 +259,11 @@ def train_group(configs: list[TrainConfig], train_data: Dataset) -> list[RunMani
             sgd_step(params, grad, velocity, lrs[t - 1], config.momentum)
             batch_losses.append(loss)
             if t in snapshot_at:
-                captured = params.copy()  # read-only from here on, so the runs share it
-                for digest, at, records in runs:
+                captured = params if out_dirs else params.copy()  # written out now, or kept
+                for (digest, at, records), out in zip(runs, out_dirs or [None] * len(runs)):
                     if t in at:
-                        records.append(
-                            SnapshotRecord(
-                                spec=config.model,
-                                params=captured,
-                                cycle_index=len(records) + 1,
-                                iteration=t,
-                                train_loss=loss,
-                                config_digest=digest,
-                            )
-                        )
+                        record = SnapshotRecord(config.model, captured, len(records) + 1, t, loss, digest)
+                        records.append(record if out is None else _stage(record, out))
         epoch_losses.append(float(np.mean(batch_losses)))
         epoch_end_lrs.append(lrs[t - 1])
 
@@ -272,15 +277,57 @@ def _snapshot_name(index: int) -> str:
     return f"snap_{index:03d}.snap"
 
 
-def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
-    """Persist a run: drop any old run.manifest, write snap_XXX.snap files,
-    loss.csv, call `write_data()` when given, then write the new run.manifest.
+def _is_snapshot_file(name: str) -> bool:
+    """Whether `name` is one this module writes: a snapshot name or its staging name."""
+    match = re.fullmatch(r"snap_(\d+)\.snap(?:\.staged)?", name)
+    return bool(match) and name.removesuffix(STAGED_SUFFIX) == _snapshot_name(int(match[1]))
 
+
+def _stage(record: SnapshotRecord, out_dir) -> StoredSnapshot:
+    """Write `record` to its staging name in out_dir: the header of that file."""
+    path = os.path.join(out_dir, _snapshot_name(record.cycle_index) + STAGED_SUFFIX)
+    write_snapshot(record, path)
+    return StoredSnapshot(
+        path, record.spec, record.cycle_index, record.iteration, record.train_loss, record.config_digest
+    )
+
+
+@contextlib.contextmanager
+def staging(out_dirs):
+    """Make the run directories `out_dirs` for `train_group` to stage
+    snapshots in. If the body raises, remove every staged snapshot in them,
+    then re-raise: a run that fails leaves every file that was there as it
+    was. A directory made here stays, so that workers of a sweep never race
+    over a parent directory they share."""
+    for out in out_dirs:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise StorageError(f"cannot prepare run directory {out}: {exc}") from exc
+    try:
+        yield
+    except BaseException:
+        for out in out_dirs:
+            with contextlib.suppress(OSError):
+                for name in os.listdir(out):
+                    if name.endswith(STAGED_SUFFIX) and _is_snapshot_file(name):
+                        with contextlib.suppress(OSError):
+                            os.remove(os.path.join(out, name))
+        raise
+
+
+def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
+    """Persist a run: drop any old run.manifest, put the snap_XXX.snap files
+    in place, write loss.csv, call `write_data()` when given, then write the
+    new run.manifest.
+
+    A snapshot that `train_group` staged is renamed into place, and its
+    record then names the placed file; any other record is written.
     Dropping the old manifest first means a save that fails partway leaves no
     manifest over a mix of old and new snapshots, or over data files that
     `write_data` did not finish. Once the new manifest is in
-    place, snapshot files an earlier run in the same directory left behind
-    under names this function writes, and that the new manifest does not
+    place, snapshot and staged files an earlier run in the same directory left
+    behind under names this module writes, and that the new manifest does not
     list, are deleted. Returns the manifest path.
     """
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
@@ -293,7 +340,15 @@ def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
     names = []
     for i, record in enumerate(manifest.snapshots, start=1):
         name = _snapshot_name(i)
-        write_snapshot(record, os.path.join(out_dir, name))
+        path = os.path.join(out_dir, name)
+        if isinstance(record, StoredSnapshot) and record.path.endswith(STAGED_SUFFIX):
+            try:
+                os.replace(record.path, path)
+            except OSError as exc:
+                raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
+            record.path = path
+        else:
+            write_snapshot(record, path)
         names.append(name)
     # loss.csv keeps csv.writer's bytes: CRLF line ends, no cell needs quoting
     rows = zip(manifest.epoch_losses, manifest.epoch_end_lrs)
@@ -305,8 +360,7 @@ def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
     write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
     try:
         for name in os.listdir(out_dir):
-            match = re.fullmatch(r"snap_(\d+)\.snap", name)
-            if match and name == _snapshot_name(int(match[1])) and name not in names:
+            if _is_snapshot_file(name) and name not in names:
                 os.remove(os.path.join(out_dir, name))
     except OSError as exc:
         raise StorageError(f"cannot remove stale snapshot in {out_dir}: {exc}") from exc

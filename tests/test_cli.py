@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from snapens.cli import main
 from snapens.data import load_csv
 from snapens.errors import StorageError
-from snapens.store import load_run, write_snapshot
+from snapens.store import load_run, read_snapshot, write_snapshot
 
 MOONS_CFG = """\
 model.layers = 2,16,2
@@ -339,9 +340,11 @@ def test_correlate_outputs_matrix_and_triples(run_dir, tmp_path):
 
 
 def test_correlate_of_flat_snapshots_exits_2_naming_one(run_dir, capsys):
-    for k, record in enumerate(load_run(run_dir / "run.manifest"), start=1):
+    for k in range(1, 5):
+        path = run_dir / f"snap_{k:03d}.snap"
+        record = read_snapshot(path)
         record.params = np.zeros_like(record.params)  # every row scores 0.5, 0.5
-        write_snapshot(record, run_dir / f"snap_{k:03d}.snap")
+        write_snapshot(record, path)
     assert main(["correlate", "--manifest", str(run_dir / "run.manifest"),
                  "--data", str(run_dir / "test.csv"), "--out", str(run_dir / "corr")]) == 2
     assert capsys.readouterr().err == (
@@ -462,11 +465,44 @@ def test_failed_stale_removal_leaves_a_complete_manifest(tmp_path, monkeypatch):
     assert len(list(out.glob("snap_*.snap"))) == 10
 
 
+def other_config(tmp_path, out):
+    """A config other than train_cycles' 3-cycle one, writing into `out`."""
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(MOONS_CFG.format(out=out).replace("schedule.cycles = 4", "schedule.cycles = 3")
+                   .replace("train.seed = 11", "train.seed = 12"))
+    return cfg
+
+
 def test_interrupted_save_leaves_no_manifest_over_mixed_snapshots(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert train_cycles(tmp_path, out, 3) == 0
+    real_replace = os.replace
+    placed = []
+
+    def fail_second(src, dst):
+        if str(dst).endswith(".snap"):  # a staged snapshot moving into place
+            placed.append(dst)
+            if len(placed) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second)
+    assert main(["train", str(other_config(tmp_path, out))]) == 4
+    monkeypatch.undo()
+    assert len(placed) == 2
+    assert not list(out.glob("*.staged*"))
+    with pytest.raises(StorageError):
+        load_run(out / "run.manifest")
+    assert main(["ensemble", "--manifest", str(out / "run.manifest"),
+                 "--data", str(out / "test.csv")]) == 4
+
+
+def test_failed_snapshot_write_in_training_leaves_the_old_run_as_it_was(tmp_path, monkeypatch):
     import snapens.trainer as trainer_mod
 
     out = tmp_path / "run"
     assert train_cycles(tmp_path, out, 3) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
     real_write = trainer_mod.write_snapshot
     written = []
 
@@ -477,24 +513,70 @@ def test_interrupted_save_leaves_no_manifest_over_mixed_snapshots(tmp_path, monk
         real_write(record, path)
 
     monkeypatch.setattr(trainer_mod, "write_snapshot", fail_second)
-    cfg = tmp_path / "other.cfg"  # a different config into the same directory
-    cfg.write_text(MOONS_CFG.format(out=out).replace("schedule.cycles = 4", "schedule.cycles = 3")
-                   .replace("train.seed = 11", "train.seed = 12"))
-    assert main(["train", str(cfg)]) == 4
+    assert main(["train", str(other_config(tmp_path, out))]) == 4
     assert len(written) == 2
-    with pytest.raises(StorageError):
-        load_run(out / "run.manifest")
-    assert main(["ensemble", "--manifest", str(out / "run.manifest"),
-                 "--data", str(out / "test.csv")]) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# MOONS_CFG in nocycle mode whose LR blows up halfway, after 2 of its 4 snapshots.
+LATE_DIVERGENCE_LINES = (
+    "schedule.alpha0 = 0.2\nschedule.cycles = 4\ntrain.mode = nocycle\nschedule.step_fractions = 0.5:1e30"
+)
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing_dir", "new_dir"])
+def test_divergence_after_a_capture_leaves_the_tree_as_it_was(tmp_path, monkeypatch, capsys, existing):
+    import snapens.trainer as trainer_mod
+
+    out = tmp_path / "runs" / "run"
+    if existing:
+        assert train_cycles(tmp_path, out, 3) == 0
+    before = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    real_write = trainer_mod.write_snapshot
+    staged = []
+    monkeypatch.setattr(trainer_mod, "write_snapshot", lambda r, p: staged.append(p) or real_write(r, p))
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(MOONS_CFG.format(out=out).replace(SNAPSHOT_LINES, LATE_DIVERGENCE_LINES))
+    with np.errstate(all="ignore"):
+        assert main(["train", str(cfg)]) == 3
+    assert "diverged at iteration" in capsys.readouterr().err
+    assert [os.path.basename(p) for p in staged] == ["snap_001.snap.staged", "snap_002.snap.staged"]
+    after = {p.relative_to(tmp_path): p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert after == {**before, cfg.relative_to(tmp_path): cfg.read_bytes()}
+
+
+EVAL_COMMANDS = {
+    "ensemble": ["ensemble", "--out", "{out}/e.csv"],
+    "ensemble_m": ["ensemble", "--m", "2", "--out", "{out}/m.csv"],
+    "curve": ["curve", "--out", "{out}/c.csv"],
+    "interpolate": ["interpolate", "--against-final", "--points", "3", "--out", "{out}/interp"],
+    "correlate": ["correlate", "--out", "{out}/corr"],
+}
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS.values(), ids=EVAL_COMMANDS)
+def test_truncated_last_snapshot_exits_4_before_any_output(run_dir, tmp_path, capsys, command):
+    last = run_dir / "snap_004.snap"
+    last.write_bytes(last.read_bytes()[:-8])
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command[0], "--manifest", str(run_dir / "run.manifest"), "--data", str(run_dir / "test.csv")]
+    assert main(argv + [arg.format(out=out) for arg in command[1:]]) == 4
+    assert re.fullmatch(r"i/o error: .*snap_004\.snap: payload length \d+ != expected \d+ bytes\n",
+                        capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 def test_save_that_cannot_remove_the_old_manifest_writes_nothing(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert train_cycles(tmp_path, out, 3) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_remove = os.remove
 
     def refuse(path):
-        raise PermissionError(path)
+        if str(path).endswith("run.manifest"):
+            raise PermissionError(path)
+        real_remove(path)
 
     monkeypatch.setattr("os.remove", refuse)
     assert train_cycles(tmp_path, out, 2) == 4

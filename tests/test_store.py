@@ -17,6 +17,7 @@ from snapens.store import (
     load_run,
     read_manifest,
     read_snapshot,
+    write_atomically,
     write_manifest,
     write_snapshot,
 )
@@ -186,6 +187,50 @@ def test_load_run_reads_records_in_order(tmp_path):
     write_manifest(ManifestFile(DIGEST, names), tmp_path / "run.manifest")
     records = load_run(tmp_path / "run.manifest")
     assert [r.cycle_index for r in records] == [1, 2]
+
+
+def test_load_run_reads_a_payload_only_when_its_params_are_used(tmp_path, monkeypatch):
+    names = ("snap_001.snap", "snap_002.snap")
+    written = [make_record(cycle_index=i, seed=i) for i in (1, 2)]
+    for record, name in zip(written, names):
+        write_snapshot(record, tmp_path / name)
+    write_manifest(ManifestFile(DIGEST, names), tmp_path / "run.manifest")
+    reads = []
+    real_read = store_mod.read_snapshot
+    monkeypatch.setattr(store_mod, "read_snapshot", lambda path: reads.append(path) or real_read(path))
+    records = load_run(tmp_path / "run.manifest")
+    assert reads == []
+    assert [(r.spec, r.iteration, r.train_loss) for r in records] == [
+        (r.spec, r.iteration, r.train_loss) for r in written
+    ]
+    assert records[1].params.tobytes() == written[1].params.tobytes()
+    assert records[1].params.tobytes() == written[1].params.tobytes()
+    assert reads == [str(tmp_path / "snap_002.snap")] * 2  # nothing is kept on the record
+
+
+def test_load_run_checks_every_payload_length_first(tmp_path):
+    names = ("snap_001.snap", "snap_002.snap")
+    for name in names:
+        write_snapshot(make_record(), tmp_path / name)
+    write_manifest(ManifestFile(DIGEST, names), tmp_path / "run.manifest")
+    blob = (tmp_path / "snap_002.snap").read_bytes()
+    (tmp_path / "snap_002.snap").write_bytes(blob[:-1])
+    with pytest.raises(FormatError, match=r"snap_002.snap: payload length \d+ != expected"):
+        load_run(tmp_path / "run.manifest")
+
+
+def test_chunk_source_error_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new rows"
+        raise ValueError("bad row")
+
+    with pytest.raises(ValueError, match="bad row"):
+        write_atomically(path, chunks(), "CSV")
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 layer_sizes_strategy = st.lists(st.integers(1, 5), min_size=2, max_size=4).map(tuple)

@@ -138,9 +138,9 @@ def test_shared_trajectory_trains_once_and_matches_lone_runs_byte_for_byte(
     trained = []
     real_train = cli_mod.train
 
-    def counting_train(config, train_set, others=()):
+    def counting_train(config, train_set, others=(), *out_dirs):
         trained.append((config.mode, [other.mode for other in others]))
-        return real_train(config, train_set, others)
+        return real_train(config, train_set, others, *out_dirs)
 
     cpus(monkeypatch, 1)
     monkeypatch.setattr(cli_mod, "train", counting_train)

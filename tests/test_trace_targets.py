@@ -109,3 +109,6 @@ def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moo
     # plus the interior points of every curve.
     assert calls["interpolate"]["analysis.interpolate"] == 3
     assert calls["interpolate"]["nn.evaluate_error"] == 4 + 3 * (points - 2)
+    # Each command reads the payload of each snapshot it uses once, at most M = 4.
+    reads = {label: calls[label].get("store.read_snapshot", 0) for label in commands}
+    assert reads == {"ensemble": 4, "ensemble_m2": 2, "curve": 4, "correlate": 4, "interpolate": 4}
