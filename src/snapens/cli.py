@@ -31,9 +31,6 @@ from .errors import (
 from .nn import check_labels, param_count
 from .store import load_run, write_atomically
 
-TRAIN_CSV_NAME = "train.csv"
-TEST_CSV_NAME = "test.csv"
-
 
 # `config` and `trainer` load on first use, so only `train` and `sweep` import
 # them. The benchmark tracer patches these three names on this module, so the
@@ -117,13 +114,21 @@ def load_experiment(path, cfg, built):
     return Experiment(path, cfg, config, train_set, test_set)
 
 
-def _save_splits(experiment):
-    out = experiment.cfg.output_dir
-    save_csv(experiment.train_set, os.path.join(out, TRAIN_CSV_NAME))
-    save_csv(experiment.test_set, os.path.join(out, TEST_CSV_NAME))
+def _place_splits(paths, outcomes):
+    """Rename each split in `paths` from its staged name into place, in
+    order, or raise the error its writer met instead."""
+    from .trainer import STAGED_SUFFIX
+
+    for path in paths:
+        if isinstance(outcomes.get(path), BaseException):
+            raise outcomes[path]
+        try:
+            os.replace(path + STAGED_SUFFIX, path)
+        except OSError as exc:
+            raise StorageError(f"cannot write CSV {path}: {exc}") from exc
 
 
-def run_experiment(group):
+def run_experiment(group, workers=1):
     """Train a group of Experiments that share one training split and one
     `trainer.trajectory_key` in one SGD loop, then save each one's run
     directory with its split, in group order.
@@ -131,24 +136,44 @@ def run_experiment(group):
     A generator: it trains on the first `next` and yields each experiment's
     (cfg, run manifest, test set, path of the saved `run.manifest`) once that
     directory is saved, so an error while saving stops at that experiment.
-    Training stages each snapshot in its run directory as it is taken; an
-    error, or a close before every directory is saved, removes the staged
-    files (see `trainer.staging`).
+    Training stages each snapshot in its run directory as it is taken, and
+    a writer stages each split there (`save_csv` to `train.csv.staged` and
+    `test.csv.staged`). With `workers` > 1 the writer runs on a second share
+    of `pool.run_shares`, in a child on another CPU, while this process
+    trains; else it runs here after training. `save_run` renames the staged
+    splits into place after `loss.csv`, and raises there the first error the
+    writer met. An error, or a close before every directory is saved,
+    removes the staged files (see `trainer.staging`).
     """
-    from .trainer import save_run, staging
+    from .pool import run_shares
+    from .trainer import SPLIT_NAMES, STAGED_SUFFIX, save_run, staging
 
     first, *rest = group
     out_dirs = [e.cfg.output_dir for e in group]
+    paths = [[os.path.join(out, name) for name in SPLIT_NAMES] for out in out_dirs]
+    training = [(None, partial(train, first.config, first.train_set, [e.config for e in rest], out_dirs))]
+    writes = [
+        (path, partial(save_csv, split, path + STAGED_SUFFIX))
+        for e, split_paths in zip(group, paths)
+        for path, split in zip(split_paths, (e.train_set, e.test_set))
+    ]
+    outcomes = {}  # None -> the runs; split path -> None once staged; or the error met
     with staging(out_dirs):
-        runs = train(first.config, first.train_set, [e.config for e in rest], out_dirs)
-        for experiment, manifest in zip(group, runs):
-            manifest_path = save_run(manifest, experiment.cfg.output_dir, partial(_save_splits, experiment))
+        shares = [training, writes] if workers > 1 else [training + writes]
+        run_shares(shares, outcomes.__setitem__, "train")
+        if isinstance(outcomes[None], BaseException):
+            raise outcomes[None]
+        for experiment, manifest, split_paths in zip(group, outcomes[None], paths):
+            place = partial(_place_splits, split_paths, outcomes)
+            manifest_path = save_run(manifest, experiment.cfg.output_dir, place)
             yield experiment.cfg, manifest, experiment.test_set, manifest_path
 
 
 def cmd_train(args) -> int:
+    from .pool import worker_count
+
     experiment = load_experiment(args.config, parse_config(args.config), {})
-    cfg, manifest, _, manifest_path = next(run_experiment([experiment]))
+    cfg, manifest, _, manifest_path = next(run_experiment([experiment], worker_count(2)))
     print(f"run complete: {len(manifest.snapshots)} snapshots in {cfg.output_dir}")
     print(f"manifest: {manifest_path}")
     return 0
@@ -339,8 +364,21 @@ def _sweep_row(path, saved):
     return [name, cfg.mode, cfg.epochs, m, result.ensemble_error]
 
 
+def _closing_on_error(task, runs):
+    """task(), but if it raises, first close every `run_experiment` in `runs`,
+    which removes the staged files of their configs not yet saved. A share
+    stops at its first error, and a forked worker then ends through os._exit,
+    which would leave the rest of its share's generators open."""
+    try:
+        return task()
+    except BaseException:
+        for run in runs:
+            run.close()
+        raise
+
+
 def cmd_sweep(args) -> int:
-    # only this command and a large `interpolate` compile the worker code
+    # only this command, `train` and a large `interpolate` compile the worker code
     from .pool import run_shares, worker_count
     from .sweep import group_experiments, sweep_configs
 
@@ -366,11 +404,11 @@ def cmd_sweep(args) -> int:
     workers = worker_count(len(groups))
     shares = []
     for w in range(workers):
-        tasks = {}
+        tasks, runs = {}, []
         for group in groups[w::workers]:
-            saved = run_experiment(group)
-            tasks.update((e.path, partial(_sweep_row, e.path, saved)) for e in group)
-        shares.append([(path, tasks[path]) for path in paths if path in tasks])
+            runs.append(run_experiment(group))
+            tasks.update((e.path, partial(_sweep_row, e.path, runs[-1])) for e in group)
+        shares.append([(path, partial(_closing_on_error, tasks[path], runs)) for path in paths if path in tasks])
     run_shares(shares, report, "sweep")
     if len(rows) < len(paths):
         raise outcomes[paths[len(rows)]]

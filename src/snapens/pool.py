@@ -1,12 +1,16 @@
-"""Forked workers for the commands that split their work: `sweep` and `interpolate`.
+"""Forked workers for the commands that split their work: `sweep`,
+`interpolate` and `train`.
 
 A command splits its work into shares, at most one per usable CPU
 (`worker_count`), each a list of (key, task) pairs. The calling process runs
-share 0 and a child forked from it runs each other share, each pinned to a
-CPU of its own. A child pickles each task's outcome (its result, or the
+share 0 and a child forked from it runs each other share, each child pinned
+to a CPU of its own. A child pickles each task's outcome (its result, or the
 error that stopped it) into a pipe, and the calling process reports every
-outcome as it collects it. With one share nothing forks. Only `sweep` and an
-`interpolate` large enough to split import this module.
+outcome as it collects it. With one share nothing forks. `sweep` splits its
+groups of configs, an `interpolate` large enough to split its grid, and
+`train` runs the SGD loop in share 0 while a writer in share 1 stages the
+run's data split (`cli.run_experiment`). Only these commands import this
+module.
 """
 from __future__ import annotations
 
@@ -41,9 +45,12 @@ def _run_share(share, report):
 def _run_on(cpus):
     """Let this process run only on `cpus`. A forked child starts on its
     parent's CPU, and on a 2-vCPU host the scheduler left both there for the
-    whole of a 70 ms share, so each worker is pinned to a CPU of its own.
-    Pinning is only placement: where the kernel refuses it, the process runs
-    where the scheduler puts it."""
+    whole of a 70 ms share, so each child is pinned to a CPU of its own. The
+    calling process is not pinned: the BLAS threads it starts after a fork
+    would inherit the pin, and with a multi-threaded BLAS they then share one
+    CPU, which made a `train` step several times slower. Pinning is only
+    placement: where the kernel refuses it, the process runs where the
+    scheduler puts it."""
     try:
         os.sched_setaffinity(0, cpus)
     except OSError:
@@ -106,9 +113,9 @@ def _collect(pid, read_fd):
 def run_shares(shares, report, name):
     """Run every share and call report(key, outcome) here for each of its tasks.
 
-    Share w runs on the w-th usable CPU: shares[0] in the calling process,
-    which reports its outcomes as they come, and each other share in a child
-    that reports once it ends, in share order. A child that exits nonzero
+    shares[0] runs in the calling process, which reports its outcomes as they
+    come, and each other share w in a child pinned to the w-th usable CPU,
+    which reports once it ends, in share order. A child that exits nonzero
     before it reports its whole share reports
     SystemExit("KEY: NAME worker exited with code N") for the first key it
     left.
@@ -116,14 +123,11 @@ def run_shares(shares, report, name):
     if len(shares) == 1:
         _run_share(shares[0], report)
         return
-    usable = os.sched_getaffinity(0)
-    cpus = sorted(usable)
+    cpus = sorted(os.sched_getaffinity(0))
     children = [(_fork_worker(share, cpus[w]), share) for w, share in enumerate(shares) if w]
     try:
-        _run_on({cpus[0]})
         _run_share(shares[0], report)
     finally:
-        _run_on(usable)
         for (pid, read_fd), share in children:
             outcomes, code = _collect(pid, read_fd)
             for key, outcome in outcomes:

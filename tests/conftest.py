@@ -25,6 +25,11 @@ def subprocess_env(**overrides) -> dict:
     return env
 
 
+def cpus(monkeypatch, count):
+    """Make the commands see `count` usable CPUs until the test ends."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def blas_core_type() -> str:
     """The core type numpy's bundled OpenBLAS runs its kernels for (`SkylakeX`,
     `Haswell`, ...), or "unknown" without such a library or its symbol.

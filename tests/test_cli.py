@@ -1,10 +1,13 @@
 import errno
+import hashlib
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 
+from conftest import cpus
 from snapens.cli import main
 from snapens.data import load_csv
 from snapens.errors import StorageError
@@ -524,8 +527,13 @@ LATE_DIVERGENCE_LINES = (
 )
 
 
-@pytest.mark.parametrize("existing", [True, False], ids=["existing_dir", "new_dir"])
-def test_divergence_after_a_capture_leaves_the_tree_as_it_was(tmp_path, monkeypatch, capsys, existing):
+@pytest.mark.parametrize(
+    "existing, count",
+    [(True, 1), (False, 1), (True, 2), (False, 2)],
+    ids=["existing_dir", "new_dir", "existing_dir-2cpus", "new_dir-2cpus"],
+)
+def test_divergence_after_a_capture_leaves_the_tree_as_it_was(tmp_path, monkeypatch, capsys, existing, count):
+    import snapens.cli as cli_mod
     import snapens.trainer as trainer_mod
 
     out = tmp_path / "runs" / "run"
@@ -535,6 +543,14 @@ def test_divergence_after_a_capture_leaves_the_tree_as_it_was(tmp_path, monkeypa
     real_write = trainer_mod.write_snapshot
     staged = []
     monkeypatch.setattr(trainer_mod, "write_snapshot", lambda r, p: staged.append(p) or real_write(r, p))
+    real_save_csv = cli_mod.save_csv
+
+    def slow_save_csv(dataset, path):  # at 2 CPUs the forked writer is still busy when the run diverges
+        time.sleep(0.3)
+        real_save_csv(dataset, path)
+
+    cpus(monkeypatch, count)
+    monkeypatch.setattr(cli_mod, "save_csv", slow_save_csv)
     cfg = tmp_path / "late.cfg"
     cfg.write_text(MOONS_CFG.format(out=out).replace(SNAPSHOT_LINES, LATE_DIVERGENCE_LINES))
     with np.errstate(all="ignore"):
@@ -640,14 +656,49 @@ def test_retrain_that_cannot_write_test_csv_leaves_no_manifest_over_the_old_spli
     real_save_csv = cli_mod.save_csv
 
     def no_space_for_test_csv(dataset, path):
-        if str(path).endswith("test.csv"):
+        if str(path).endswith("test.csv.staged"):  # the writer stages each split
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
         real_save_csv(dataset, path)
 
+    cpus(monkeypatch, 2)  # the error crosses from the forked writer
     monkeypatch.setattr(cli_mod, "save_csv", no_space_for_test_csv)
     cfg = tmp_path / "other.cfg"  # another split of other data into the same directory
     cfg.write_text(MOONS_CFG.format(out=out).replace("seed=3", "seed=4"))
     assert main(["train", str(cfg)]) == 4
     assert (out / "test.csv").read_bytes() == old_test
+    assert not list(out.glob("*.staged*"))
     assert main(["ensemble", "--manifest", str(out / "run.manifest"),
                  "--data", str(out / "test.csv")]) != 0
+
+
+def test_train_writes_the_same_bytes_at_one_and_two_cpus_and_forks_only_at_two(tmp_path, monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    trees = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        out = tmp_path / f"run{count}"
+        cfg = tmp_path / f"cpus{count}.cfg"
+        cfg.write_text(MOONS_CFG.format(out=out))
+        assert main(["train", str(cfg)]) == 0
+        assert len(forks) == count - 1  # at 2 CPUs one writer for the splits
+        trees[count] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert sorted(trees[2]) == ["loss.csv", "run.manifest", "snap_001.snap", "snap_002.snap",
+                                "snap_003.snap", "snap_004.snap", "test.csv", "train.csv"]
+    assert trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_next_train_removes_the_staged_files_a_killed_run_left(run_dir, tmp_path, monkeypatch, count):
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    for name in ("train.csv.staged", "test.csv.staged", "snap_007.snap.staged"):
+        (run_dir / name).write_bytes(b"left by a killed run")
+    cpus(monkeypatch, count)
+    assert main(["train", str(tmp_path / "exp.cfg")]) == 0
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before

@@ -12,7 +12,7 @@ import pytest
 
 import snapens.cli as cli_mod
 import snapens.errors as errors_mod
-from conftest import subprocess_env
+from conftest import cpus, subprocess_env
 from snapens.cli import main
 
 CFG = """\
@@ -33,10 +33,6 @@ def write_config(config_dir, name, out, mode="snapshot", seed=11, alpha0=0.2,
                  source="two_moons", params="n=200,noise=0.1,seed=3"):
     text = CFG.format(alpha0=alpha0, mode=mode, seed=seed, source=source, params=params, out=out)
     (config_dir / f"{name}.cfg").write_text(text + MODES[mode])
-
-
-def cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def tree_digests(root):
@@ -173,6 +169,29 @@ def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, mon
     assert out.out.startswith("a_snapshot: ") and len(out.out.splitlines()) == 1
     assert "RuntimeError: boom" in out.err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_failed_row_leaves_no_staged_file_of_its_group(tmp_path, monkeypatch, capsys, deadline, count):
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    write_config(config_dir, "a", "runs/a", mode="single", seed=1)
+    write_config(config_dir, "b1", "runs/b1", mode="nocycle", seed=2)  # b1 and b2 train as one group
+    write_config(config_dir, "b2", "runs/b2", mode="single", seed=2)
+    real_row = cli_mod._sweep_row
+
+    def fail_after_saving_b1(path, saved, *rest):
+        if os.path.basename(path) == "b1.cfg":
+            next(saved)  # b1 is saved; b2's snapshot and splits are still staged
+            raise errors_mod.StorageError("b1: no space left")
+        return real_row(path, saved, *rest)
+
+    cpus(monkeypatch, count)
+    monkeypatch.setattr(cli_mod, "_sweep_row", fail_after_saving_b1)
+    code, out = sweep_in(tmp_path / "work", config_dir, monkeypatch, capsys)
+    assert code == 4 and "b1: no space left" in out.err
+    assert (tmp_path / "work" / "runs" / "b1" / "run.manifest").exists()
+    assert [p.name for p in (tmp_path / "work").rglob("*.staged*")] == []
 
 
 # 4 rows whose label 5, past a 2-class model's range, falls in the test split

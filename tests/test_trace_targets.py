@@ -8,6 +8,7 @@ import importlib.util
 import pathlib
 
 import snapens.cli
+from conftest import cpus
 from snapens.data import save_csv
 from snapens.trainer import save_run
 
@@ -72,6 +73,7 @@ def install_tracer(monkeypatch):
 def test_train_routes_every_traced_call_through_the_patched_names(tmp_path, monkeypatch):
     cfg = tmp_path / "moons.cfg"
     cfg.write_text(MOONS_CFG.format(out=tmp_path / "run"))
+    cpus(monkeypatch, 1)  # the splits are written here, not in a forked writer
     tracer = install_tracer(monkeypatch)
     assert tracer.run_command("train", lambda: snapens.cli.main(["train", str(cfg)])) == 0
     calls = tracer.command_calls["train"]

@@ -10,6 +10,7 @@ from snapens.errors import ConfigError, DivergenceError, InputError
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
 from snapens.schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec, lr_at
 from snapens.trainer import (
+    SGD_BLOCK,
     TrainConfig,
     config_digest,
     derive_seed,
@@ -137,6 +138,21 @@ def test_sgd_step_in_place_returns_its_arguments_with_the_same_bits():
     expected_params = params + expected_velocity
     out_params, out_velocity = sgd_step(params, grad, velocity, 0.07, 0.9)
     assert out_params is params and out_velocity is velocity
+    assert params.tobytes() == expected_params.tobytes()
+    assert velocity.tobytes() == expected_velocity.tobytes()
+
+
+@pytest.mark.parametrize("length", [1, SGD_BLOCK, 2 * SGD_BLOCK + 3], ids=["1", "block", "short_last_block"])
+def test_blocked_sgd_step_matches_the_whole_vector_update_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    params, grad, velocity = rng.normal(size=(3, length))
+    expected_params, expected_velocity = params.copy(), velocity.copy()
+    for _ in range(2):
+        expected_velocity *= 0.9
+        expected_velocity -= 0.013 * grad
+        expected_params += expected_velocity
+        out_params, out_velocity = sgd_step(params, grad, velocity, 0.013, 0.9)
+        assert out_params is params and out_velocity is velocity
     assert params.tobytes() == expected_params.tobytes()
     assert velocity.tobytes() == expected_velocity.tobytes()
 
