@@ -65,6 +65,7 @@ _EXPORTS = {
         "read_header",
         "read_manifest",
         "read_snapshot",
+        "save_run",
         "write_manifest",
         "write_snapshot",
     ),
@@ -73,7 +74,6 @@ _EXPORTS = {
         "TrainConfig",
         "config_digest",
         "iterations_for",
-        "save_run",
         "sgd_step",
         "train",
     ),

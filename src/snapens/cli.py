@@ -114,20 +114,6 @@ def load_experiment(path, cfg, built):
     return Experiment(path, cfg, config, train_set, test_set)
 
 
-def _place_splits(paths, outcomes):
-    """Rename each split in `paths` from its staged name into place, in
-    order, or raise the error its writer met instead."""
-    from .trainer import STAGED_SUFFIX
-
-    for path in paths:
-        if isinstance(outcomes.get(path), BaseException):
-            raise outcomes[path]
-        try:
-            os.replace(path + STAGED_SUFFIX, path)
-        except OSError as exc:
-            raise StorageError(f"cannot write CSV {path}: {exc}") from exc
-
-
 def run_experiment(group, workers=1):
     """Train a group of Experiments that share one training split and one
     `trainer.trajectory_key` in one SGD loop, then save each one's run
@@ -136,36 +122,33 @@ def run_experiment(group, workers=1):
     A generator: it trains on the first `next` and yields each experiment's
     (cfg, run manifest, test set, path of the saved `run.manifest`) once that
     directory is saved, so an error while saving stops at that experiment.
-    Training stages each snapshot in its run directory as it is taken, and
-    a writer stages each split there (`save_csv` to `train.csv.staged` and
-    `test.csv.staged`). With `workers` > 1 the writer runs on a second share
-    of `pool.run_shares`, in a child on another CPU, while this process
-    trains; else it runs here after training. `save_run` renames the staged
-    splits into place after `loss.csv`, and raises there the first error the
-    writer met. An error, or a close before every directory is saved,
-    removes the staged files (see `trainer.staging`).
+    Training stages each snapshot as it is taken, and a writer stages each
+    split with `save_csv`: with `workers` > 1 on a second share of
+    `pool.run_shares`, in a child on another CPU, while this process trains;
+    else here after training. `store.save_run` places the splits, or raises
+    the error the writer met. An error, or a close before every directory is
+    saved, removes the staged files (see `store.staging`).
     """
     from .pool import run_shares
-    from .trainer import SPLIT_NAMES, STAGED_SUFFIX, save_run, staging
+    from .store import SPLIT_NAMES, save_run, staged_path, staging
 
     first, *rest = group
     out_dirs = [e.cfg.output_dir for e in group]
-    paths = [[os.path.join(out, name) for name in SPLIT_NAMES] for out in out_dirs]
     training = [(None, partial(train, first.config, first.train_set, [e.config for e in rest], out_dirs))]
+    staged = [[staged_path(out, name) for name in SPLIT_NAMES] for out in out_dirs]
     writes = [
-        (path, partial(save_csv, split, path + STAGED_SUFFIX))
-        for e, split_paths in zip(group, paths)
-        for path, split in zip(split_paths, (e.train_set, e.test_set))
+        (path, partial(save_csv, split, path))
+        for e, paths in zip(group, staged)
+        for path, split in zip(paths, (e.train_set, e.test_set))
     ]
-    outcomes = {}  # None -> the runs; split path -> None once staged; or the error met
+    outcomes = {}  # None -> the runs; staged split path -> None once written, or the error met
     with staging(out_dirs):
         shares = [training, writes] if workers > 1 else [training + writes]
         run_shares(shares, outcomes.__setitem__, "train")
         if isinstance(outcomes[None], BaseException):
             raise outcomes[None]
-        for experiment, manifest, split_paths in zip(group, outcomes[None], paths):
-            place = partial(_place_splits, split_paths, outcomes)
-            manifest_path = save_run(manifest, experiment.cfg.output_dir, place)
+        for experiment, manifest, out, paths in zip(group, outcomes[None], out_dirs, staged):
+            manifest_path = save_run(manifest, out, [outcomes.get(path) for path in paths])
             yield experiment.cfg, manifest, experiment.test_set, manifest_path
 
 

@@ -177,7 +177,8 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     cell text through `float()` once (or, in a block whose texts are mostly
     distinct, each cell). Faults are reported as a row-by-row read would
     meet them: the first faulty row wins, and within a row the cell count
-    comes first, then the label, then the first non-numeric feature.
+    comes first, then the label, then the first non-numeric or non-finite
+    feature.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(fh, path)
@@ -231,6 +232,8 @@ def _parse_rows(rows, first_row, header, label_idx, labels, path) -> np.ndarray:
     except ValueError:
         _raise_first_fault(rows, first_row, header, label_idx, path)
         raise
+    if not np.isfinite(values).all():
+        _raise_first_fault(rows, first_row, header, label_idx, path)
     labels += block_labels
     return np.delete(values.reshape(len(rows), width), label_idx, axis=1)
 
@@ -248,8 +251,8 @@ def _raise_first_fault(rows, first_row, header, label_idx, path) -> None:
                 f"{path}: row {i}, column {header[label_idx]!r}: not an integer label in [0, 2**63)"
             ) from None
         for j, cell in enumerate(row):
-            if j != label_idx and not _is_float(cell):
-                raise FormatError(f"{path}: row {i}, column {header[j]!r}: not numeric")
+            if j != label_idx and (fault := _feature_fault(cell)):
+                raise FormatError(f"{path}: row {i}, column {header[j]!r}: {fault}")
 
 
 def _labels(texts) -> list[int]:
@@ -272,12 +275,12 @@ def _csv_rows(fh, path):
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _is_float(cell: str) -> bool:
+def _feature_fault(cell: str) -> str | None:
+    """Why `cell` is no feature value, or None when it is one."""
     try:
-        float(cell)
-        return True
+        return None if math.isfinite(float(cell)) else "not finite"
     except ValueError:
-        return False
+        return "not numeric"
 
 
 def load_idx(images_path, labels_path) -> Dataset:

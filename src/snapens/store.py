@@ -7,11 +7,22 @@ hex-encoded. Manifest file (`.manifest`): `key=value` lines listing snapshot
 filenames in chronological order plus the config digest. Both are written to
 `<path>.tmp` and renamed into place, so a reader sees the old file or the new
 one, never a half-written one.
+
+Run directory: this module names, places and cleans every file a run writes.
+While it trains, a run writes each snapshot and data split to its staged name
+(`snap_NNN.snap.staged`, `train.csv.staged`, `test.csv.staged`). `save_run`
+then removes the old `run.manifest`, places the snapshots, writes `loss.csv`,
+places the splits and writes the new `run.manifest` last, so a save that
+fails partway leaves no manifest over a mix of old and new files. Then it
+removes the snapshots that manifest does not list and every staged or `.tmp`
+name of a run file. A run that fails removes its staged files instead (see
+`staging`).
 """
 from __future__ import annotations
 
 import contextlib
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +31,7 @@ from .errors import ConsistencyError, FormatError, StorageError
 from .nn import ModelSpec, ParamVector, param_count
 
 FORMAT_VERSION = 1
+TMP_SUFFIX = ".tmp"  # what write_atomically writes before it renames into place
 
 _HEADER_FIELDS = (
     "format_version",
@@ -81,7 +93,7 @@ def write_atomically(path, chunks, what: str) -> None:
     removed, `path` keeps its old bytes and the exception goes on; an OSError
     becomes a StorageError naming `what` and the path.
     """
-    tmp_path = f"{os.fspath(path)}.tmp"
+    tmp_path = os.fspath(path) + TMP_SUFFIX
     try:
         with open(tmp_path, "wb") as fh:
             for chunk in chunks:
@@ -136,7 +148,8 @@ def _fields(lines, known, path, what: str, repeated=()) -> dict:
     return fields
 
 
-def write_snapshot(record: SnapshotRecord, path) -> None:
+def write_snapshot(record: SnapshotRecord, path) -> StoredSnapshot:
+    """Write `record` to `path` and return the header of that file."""
     header = _field_bytes(
         [
             ("layer_sizes", ",".join(str(n) for n in record.spec.layer_sizes)),
@@ -150,6 +163,10 @@ def write_snapshot(record: SnapshotRecord, path) -> None:
     )
     payload = np.ascontiguousarray(record.params, dtype="<f8")  # no copy of a float64 vector
     write_atomically(path, (header, b"\n\n", memoryview(payload).cast("B")), "snapshot")
+    return StoredSnapshot(
+        os.fspath(path), record.spec, record.cycle_index, record.iteration, record.train_loss,
+        record.config_digest
+    )
 
 
 def read_snapshot(path) -> SnapshotRecord:
@@ -270,3 +287,104 @@ def load_run(manifest_path) -> list[StoredSnapshot]:
     manifest = read_manifest(manifest_path)
     base = os.path.dirname(os.fspath(manifest_path))
     return [read_header(os.path.join(base, name)) for name in manifest.snapshot_files]
+
+
+MANIFEST_NAME = "run.manifest"
+LOSS_CSV_NAME = "loss.csv"
+SPLIT_NAMES = ("train.csv", "test.csv")  # the data split the CLI saves beside a run
+STAGED_SUFFIX = ".staged"  # a snapshot or split that save_run has not placed yet
+
+
+def snapshot_name(index: int) -> str:
+    return f"snap_{index:03d}.snap"
+
+
+def staged_path(out_dir, name: str) -> str:
+    """Where a run writes the snapshot or split `name` of out_dir until `save_run` places it."""
+    return os.path.join(out_dir, name + STAGED_SUFFIX)
+
+
+def _is_run_file(name: str) -> bool:
+    """Whether `name` is one this module writes in a run directory: a placed
+    name, the staged name of a snapshot or split, or the temp name of either."""
+    stem = name.removesuffix(TMP_SUFFIX)
+    placed = stem.removesuffix(STAGED_SUFFIX)
+    if match := re.fullmatch(r"snap_(\d+)\.snap", placed):
+        return placed == snapshot_name(int(match[1]))
+    return placed in SPLIT_NAMES or stem in (MANIFEST_NAME, LOSS_CSV_NAME)
+
+
+def _prepare(out_dir, *names) -> None:
+    """Make the run directory out_dir and remove the files `names` from it."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name in names:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
+    except OSError as exc:
+        raise StorageError(f"cannot prepare run directory {out_dir}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def staging(out_dirs):
+    """Make the run directories `out_dirs` for a run to stage its snapshots
+    and splits in. If the body raises, remove every staged file in them, then
+    re-raise: a run that fails leaves every file that was there as it was. A
+    directory made here stays, so that workers of a sweep never race over a
+    parent directory they share."""
+    for out in out_dirs:
+        _prepare(out)
+    try:
+        yield
+    except BaseException:
+        for out in out_dirs:
+            with contextlib.suppress(OSError):
+                for name in os.listdir(out):
+                    if name.endswith(STAGED_SUFFIX) and _is_run_file(name):
+                        with contextlib.suppress(OSError):
+                            os.remove(os.path.join(out, name))
+        raise
+
+
+def save_run(manifest, out_dir, splits=()) -> str:
+    """Save the `trainer.RunManifest` `manifest` in out_dir in the order the
+    module docstring gives; return the new manifest's path. A staged snapshot
+    is renamed into place and its record then names the placed file; any
+    other record is written. `splits` holds, for each of SPLIT_NAMES, None
+    once its writer has staged it, or the error the writer met, which is
+    raised in its place."""
+    _prepare(out_dir, MANIFEST_NAME)
+    names = [snapshot_name(i) for i in range(1, len(manifest.snapshots) + 1)]
+    for name, record in zip(names, manifest.snapshots):
+        path = os.path.join(out_dir, name)
+        if isinstance(record, StoredSnapshot) and record.path.endswith(STAGED_SUFFIX):
+            try:
+                os.replace(record.path, path)
+            except OSError as exc:
+                raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
+            record.path = path
+        else:
+            write_snapshot(record, path)
+    # loss.csv keeps csv.writer's bytes: CRLF line ends, no cell needs quoting
+    rows = zip(manifest.epoch_losses, manifest.epoch_end_lrs)
+    lines = [f"{epoch},{loss!r},{lr!r}\r\n" for epoch, (loss, lr) in enumerate(rows, start=1)]
+    text = "epoch,mean_train_loss,lr_at_epoch_end\r\n" + "".join(lines)
+    write_atomically(os.path.join(out_dir, LOSS_CSV_NAME), (text.encode(),), "loss CSV")
+    for name, outcome in zip(SPLIT_NAMES, splits):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        path = os.path.join(out_dir, name)
+        try:
+            os.replace(staged_path(out_dir, name), path)
+        except OSError as exc:
+            raise StorageError(f"cannot write CSV {path}: {exc}") from exc
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
+    kept = {MANIFEST_NAME, LOSS_CSV_NAME, *SPLIT_NAMES, *names}
+    try:
+        for name in sorted(os.listdir(out_dir)):
+            if _is_run_file(name) and name not in kept:
+                os.remove(os.path.join(out_dir, name))
+    except OSError as exc:
+        raise StorageError(f"cannot remove stale file in {out_dir}: {exc}") from exc
+    return manifest_path

@@ -14,27 +14,24 @@ bit-identical results. Configs that differ only in where they snapshot (one
 `train_group` runs them in one loop.
 
 Given run directories, the loop writes each snapshot from the live parameter
-vector to a staging name (`snap_NNN.snap.staged`) as it captures it, and
-`save_run` moves the staged files into place, so a run holds one parameter
-vector however many snapshots it takes.
+vector to the staged path `store.staged_path` names as it captures it, so a
+run holds one parameter vector however many snapshots it takes;
+`store.save_run` places the staged files.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import os
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DivergenceError, InputError, StorageError
+from .errors import ConfigError, DivergenceError, InputError
 from .nn import Batch, GradVector, ModelSpec, ParamVector, Workspace, check_labels, init_params, loss_and_grad
 from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
-from .store import ManifestFile, SnapshotRecord, StoredSnapshot, write_atomically, write_manifest, write_snapshot
+from .store import SnapshotRecord, StoredSnapshot, snapshot_name, staged_path, write_snapshot
 
 # Each mode fixes its learning-rate schedule kind.
 MODE_SCHEDULE = {
@@ -45,10 +42,6 @@ MODE_SCHEDULE = {
 }
 MODES = tuple(MODE_SCHEDULE)
 
-MANIFEST_NAME = "run.manifest"
-LOSS_CSV_NAME = "loss.csv"
-SPLIT_NAMES = ("train.csv", "test.csv")  # the data split the CLI saves beside a run
-STAGED_SUFFIX = ".staged"  # a snapshot or split that save_run has not moved into place
 # sgd_step's block of float64s: 256 KB of each vector, so the blocks of the
 # step's vectors stay in L2 cache across its three ops
 SGD_BLOCK = 32768
@@ -205,10 +198,10 @@ def train_group(
     config digest, and the one loss history, so each equals the run `train`
     returns for its config alone. Without `out_dirs` a record holds a copy of
     the parameters, shared by the runs that capture at that iteration. With
-    `out_dirs`, one existing directory per config (see `staging`), each
-    capture writes the live parameters to the staging name of that snapshot
-    in the config's directory and the run holds `StoredSnapshot`s of those
-    files, for `save_run` to move into place.
+    `out_dirs`, one existing directory per config (see `store.staging`),
+    each capture writes the live parameters to the staged path of that
+    snapshot in the config's directory and the run holds `StoredSnapshot`s
+    of those files, for `store.save_run` to place.
     """
     config = configs[0]
     key = trajectory_key(config)
@@ -272,7 +265,10 @@ def train_group(
                 for (digest, at, records), out in zip(runs, out_dirs or [None] * len(runs)):
                     if t in at:
                         record = SnapshotRecord(config.model, captured, len(records) + 1, t, loss, digest)
-                        records.append(record if out is None else _stage(record, out))
+                        if out is not None:  # the live params go to disk now; keep the file's header
+                            path = staged_path(out, snapshot_name(record.cycle_index))
+                            record = write_snapshot(record, path)
+                        records.append(record)
         epoch_losses.append(float(np.mean(batch_losses)))
         epoch_end_lrs.append(lrs[t - 1])
 
@@ -280,104 +276,3 @@ def train_group(
         RunManifest(digest, records, list(epoch_losses), list(epoch_end_lrs))
         for digest, _, records in runs
     ]
-
-
-def _snapshot_name(index: int) -> str:
-    return f"snap_{index:03d}.snap"
-
-
-def _is_snapshot_file(name: str) -> bool:
-    """Whether `name` is one this module writes: a snapshot name or its staging name."""
-    match = re.fullmatch(r"snap_(\d+)\.snap(?:\.staged)?", name)
-    return bool(match) and name.removesuffix(STAGED_SUFFIX) == _snapshot_name(int(match[1]))
-
-
-def _is_staged(name: str) -> bool:
-    """Whether `name` is a staging name: of a snapshot this module writes or of a split."""
-    return name.endswith(STAGED_SUFFIX) and (
-        _is_snapshot_file(name) or name.removesuffix(STAGED_SUFFIX) in SPLIT_NAMES
-    )
-
-
-def _stage(record: SnapshotRecord, out_dir) -> StoredSnapshot:
-    """Write `record` to its staging name in out_dir: the header of that file."""
-    path = os.path.join(out_dir, _snapshot_name(record.cycle_index) + STAGED_SUFFIX)
-    write_snapshot(record, path)
-    return StoredSnapshot(
-        path, record.spec, record.cycle_index, record.iteration, record.train_loss, record.config_digest
-    )
-
-
-@contextlib.contextmanager
-def staging(out_dirs):
-    """Make the run directories `out_dirs` for `train_group` to stage
-    snapshots, and the CLI splits, in. If the body raises, remove every
-    staged file in them, then re-raise: a run that fails leaves every file
-    that was there as it was. A directory made here stays, so that workers
-    of a sweep never race over a parent directory they share."""
-    for out in out_dirs:
-        try:
-            os.makedirs(out, exist_ok=True)
-        except OSError as exc:
-            raise StorageError(f"cannot prepare run directory {out}: {exc}") from exc
-    try:
-        yield
-    except BaseException:
-        for out in out_dirs:
-            with contextlib.suppress(OSError):
-                for name in os.listdir(out):
-                    if _is_staged(name):
-                        with contextlib.suppress(OSError):
-                            os.remove(os.path.join(out, name))
-        raise
-
-
-def save_run(manifest: RunManifest, out_dir, write_data=None) -> str:
-    """Persist a run: drop any old run.manifest, put the snap_XXX.snap files
-    in place, write loss.csv, call `write_data()` when given, then write the
-    new run.manifest.
-
-    A snapshot that `train_group` staged is renamed into place, and its
-    record then names the placed file; any other record is written.
-    Dropping the old manifest first means a save that fails partway leaves no
-    manifest over a mix of old and new snapshots, or over data files that
-    `write_data` did not finish. Once the new manifest is in
-    place, snapshot and staged files an earlier run in the same directory left
-    behind under names this module writes, and that the new manifest does not
-    list, are deleted. Returns the manifest path.
-    """
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(manifest_path)
-    except OSError as exc:
-        raise StorageError(f"cannot prepare run directory {out_dir}: {exc}") from exc
-    names = []
-    for i, record in enumerate(manifest.snapshots, start=1):
-        name = _snapshot_name(i)
-        path = os.path.join(out_dir, name)
-        if isinstance(record, StoredSnapshot) and record.path.endswith(STAGED_SUFFIX):
-            try:
-                os.replace(record.path, path)
-            except OSError as exc:
-                raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
-            record.path = path
-        else:
-            write_snapshot(record, path)
-        names.append(name)
-    # loss.csv keeps csv.writer's bytes: CRLF line ends, no cell needs quoting
-    rows = zip(manifest.epoch_losses, manifest.epoch_end_lrs)
-    lines = [f"{epoch},{loss!r},{lr!r}\r\n" for epoch, (loss, lr) in enumerate(rows, start=1)]
-    text = "epoch,mean_train_loss,lr_at_epoch_end\r\n" + "".join(lines)
-    write_atomically(os.path.join(out_dir, LOSS_CSV_NAME), (text.encode(),), "loss CSV")
-    if write_data is not None:
-        write_data()
-    write_manifest(ManifestFile(manifest.config_digest, tuple(names)), manifest_path)
-    try:
-        for name in os.listdir(out_dir):
-            if _is_snapshot_file(name) and name not in names:
-                os.remove(os.path.join(out_dir, name))
-    except OSError as exc:
-        raise StorageError(f"cannot remove stale snapshot in {out_dir}: {exc}") from exc
-    return manifest_path

@@ -697,8 +697,34 @@ def test_train_writes_the_same_bytes_at_one_and_two_cpus_and_forks_only_at_two(t
 @pytest.mark.parametrize("count", [1, 2])
 def test_next_train_removes_the_staged_files_a_killed_run_left(run_dir, tmp_path, monkeypatch, count):
     before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-    for name in ("train.csv.staged", "test.csv.staged", "snap_007.snap.staged"):
+    for name in ("train.csv.staged", "test.csv.staged", "snap_007.snap.staged",
+                 "snap_009.snap.staged.tmp", "snap_009.snap.tmp"):
         (run_dir / name).write_bytes(b"left by a killed run")
     cpus(monkeypatch, count)
     assert main(["train", str(tmp_path / "exp.cfg")]) == 0
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_retrain_places_and_removes_the_run_files_in_order(run_dir, tmp_path, monkeypatch, count):
+    steps = []  # in the calling process: each os.replace destination and os.remove target
+    real_replace, real_remove = os.replace, os.remove
+
+    def replace(src, dst):
+        steps.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    def remove(path):
+        steps.append(f"remove {os.path.basename(path)}")
+        real_remove(path)
+
+    cfg = tmp_path / "two.cfg"  # 2 cycles into the 4-cycle run
+    cfg.write_text(MOONS_CFG.format(out=run_dir).replace("schedule.cycles = 4", "schedule.cycles = 2"))
+    cpus(monkeypatch, count)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(os, "remove", remove)
+    assert main(["train", str(cfg)]) == 0
+    assert [step for step in steps if not step.endswith((".staged", ".tmp"))] == [
+        "remove run.manifest", "snap_001.snap", "snap_002.snap", "loss.csv", "train.csv", "test.csv",
+        "run.manifest", "remove snap_003.snap", "remove snap_004.snap",
+    ]

@@ -202,6 +202,10 @@ def _with(width, **cells):
         (lambda w: {5: _with(w, f1="oops"), 4: _with(w, label="9" * 20)},
          r"row 4, column 'label': not an integer label in \[0, 2\*\*63\)"),
         (lambda w: {r: _with(w, label="-1") for r in range(2, 302)}, r"row 2, column 'label': not an integer label"),
+        # a feature float() reads but that is not finite is reported like a
+        # non-numeric one, in the same order
+        (lambda w: {4: _with(w, f1="inf")}, r"row 4, column 'f1': not finite"),
+        (lambda w: {3: _with(w, f0="nan"), 5: _with(w, label="x")}, r"row 3, column 'f0': not finite"),
     ],
 )
 def test_load_csv_reports_the_first_fault(tmp_path, width, distinct, faults, message):

@@ -11,7 +11,7 @@ import snapens.cli as cli_mod
 from snapens.cli import main
 from snapens.data import save_csv
 from snapens.errors import InputError
-from snapens.trainer import save_run
+from snapens.store import save_run
 
 # (argv tail, files written): 3 curves against the last of 4 snapshots, and one pair at 51 points.
 RUNS = {

@@ -8,7 +8,7 @@ import sys
 import snapens
 from conftest import subprocess_env
 from snapens.data import save_csv
-from snapens.trainer import save_run
+from snapens.store import save_run
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 TRAINING_MODULES = {"snapens.config", "snapens.schedule", "snapens.trainer"}

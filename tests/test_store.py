@@ -17,11 +17,12 @@ from snapens.store import (
     load_run,
     read_manifest,
     read_snapshot,
+    save_run,
     write_atomically,
     write_manifest,
     write_snapshot,
 )
-from snapens.trainer import TrainConfig, save_run, train
+from snapens.trainer import TrainConfig, train
 
 DIGEST = bytes(range(16))
 
@@ -324,3 +325,15 @@ def test_failed_loss_csv_write_is_a_storage_error_and_leaves_no_temp_file(tmp_pa
     assert not (tmp_path / "run" / "loss.csv.tmp").exists()
     assert not (tmp_path / "run" / "loss.csv").exists()
     assert not (tmp_path / "run" / "run.manifest").exists()
+
+
+def test_save_run_removes_the_temp_names_of_run_files_and_no_other(tmp_path, tiny_run):
+    out = tmp_path / "run"
+    out.mkdir()
+    left = ["loss.csv.tmp", "run.manifest.tmp", "snap_012.snap.tmp", "train.csv.staged.tmp", "test.csv.tmp"]
+    others = ["notes.tmp", "snap_best.snap.tmp", "snap_1.snap.tmp", "run.manifest.staged", "loss.csv.staged.tmp"]
+    for name in left + others:
+        (out / name).write_bytes(b"left by a killed run")
+    save_run(tiny_run[1], out)
+    snapshots = [f"snap_00{k}.snap" for k in range(1, 5)]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["loss.csv", "run.manifest", *snapshots, *others])

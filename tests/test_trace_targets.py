@@ -10,7 +10,7 @@ import pathlib
 import snapens.cli
 from conftest import cpus
 from snapens.data import save_csv
-from snapens.trainer import save_run
+from snapens.store import save_run
 
 INPROC = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inproc.py"
 

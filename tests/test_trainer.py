@@ -9,13 +9,13 @@ from snapens.data import gen_blobs, gen_two_moons
 from snapens.errors import ConfigError, DivergenceError, InputError
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
 from snapens.schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec, lr_at
+from snapens.store import save_run
 from snapens.trainer import (
     SGD_BLOCK,
     TrainConfig,
     config_digest,
     derive_seed,
     iterations_for,
-    save_run,
     sgd_step,
     train,
     train_group,
