@@ -47,13 +47,15 @@ def build_datasets(cfg):
     return build_datasets(cfg)
 
 
-def train(config, train_set, others=(), out_dirs=None):
+def train(config, train_set, others=(), out_dirs=None, stack=()):
     """Train `config` and the configs in `others`, which share its trajectory,
-    in one SGD loop: their runs, `config`'s first. With `out_dirs`, one per
-    config, each run stages its snapshots in its directory as it takes them."""
-    from .trainer import train_group
+    in one SGD loop with the groups in `stack`, each a (configs, train set,
+    out_dirs) triple: `trainer.train_stack`'s result, `config`'s group first.
+    With `out_dirs`, one per config, each run stages its snapshots in its
+    directory as it takes them."""
+    from .trainer import train_stack
 
-    return train_group([config, *others], train_set, out_dirs)
+    return train_stack([([config, *others], train_set, out_dirs), *stack])
 
 
 def _write_rows(out, header, rows):
@@ -114,16 +116,21 @@ def load_experiment(path, cfg, built):
     return Experiment(path, cfg, config, train_set, test_set)
 
 
-def run_experiment(group, workers=1):
-    """Train a group of Experiments that share one training split and one
-    `trainer.trajectory_key` in one SGD loop, then save each one's run
-    directory with its split, in group order.
+def run_experiment(stack, workers=1, write_split=None):
+    """Train a stack of groups of Experiments in one SGD loop
+    (`trainer.train_stack`), then save each experiment's run directory with
+    its split, in config order (by path, as `sweep` orders its configs).
+    The experiments of a group share one training split and one
+    `trainer.trajectory_key`, and all groups share the layer sizes, batch
+    size, split length and epochs.
 
     A generator: it trains on the first `next` and yields each experiment's
     (cfg, run manifest, test set, path of the saved `run.manifest`) once that
     directory is saved, so an error while saving stops at that experiment.
-    Training stages each snapshot as it is taken, and a writer stages each
-    split with `save_csv`: with `workers` > 1 on a second share of
+    A group that failed raises its error at its first experiment, and so do
+    the groups the loop ended after it. Training stages each snapshot as it
+    is taken, and a writer stages each split with `write_split` (default
+    `save_csv`): with `workers` > 1 on a second share of
     `pool.run_shares`, in a child on another CPU, while this process trains;
     else here after training. `store.save_run` places the splits, or raises
     the error the writer met. An error, or a close before every directory is
@@ -132,31 +139,65 @@ def run_experiment(group, workers=1):
     from .pool import run_shares
     from .store import SPLIT_NAMES, save_run, staged_path, staging
 
-    first, *rest = group
-    out_dirs = [e.cfg.output_dir for e in group]
-    training = [(None, partial(train, first.config, first.train_set, [e.config for e in rest], out_dirs))]
-    staged = [[staged_path(out, name) for name in SPLIT_NAMES] for out in out_dirs]
-    writes = [
-        (path, partial(save_csv, split, path))
-        for e, paths in zip(group, staged)
-        for path, split in zip(paths, (e.train_set, e.test_set))
+    write_split = write_split or save_csv
+    members = sorted((e for group in stack for e in group), key=lambda e: e.path)
+    dirs = {e.path: e.cfg.output_dir for e in members}
+    groups = [
+        ([e.config for e in group], group[0].train_set, [dirs[e.path] for e in group]) for group in stack
     ]
-    outcomes = {}  # None -> the runs; staged split path -> None once written, or the error met
-    with staging(out_dirs):
-        shares = [training, writes] if workers > 1 else [training + writes]
+    (configs, train_set, out_dirs), *later = groups
+    run = partial(train, configs[0], train_set, configs[1:], out_dirs, later)
+    staged = {e.path: [staged_path(dirs[e.path], name) for name in SPLIT_NAMES] for e in members}
+    writes = [
+        (path, partial(write_split, split, path))
+        for e in members
+        for path, split in zip(staged[e.path], (e.train_set, e.test_set))
+    ]
+    outcomes = {}  # None -> the groups' runs; staged split path -> None once written, or the error met
+    with staging(list(dirs.values())):
+        shares = [[(None, run)], writes] if workers > 1 else [[(None, run), *writes]]
         run_shares(shares, outcomes.__setitem__, "train")
         if isinstance(outcomes[None], BaseException):
             raise outcomes[None]
-        for experiment, manifest, out, paths in zip(group, outcomes[None], out_dirs, staged):
-            manifest_path = save_run(manifest, out, [outcomes.get(path) for path in paths])
+        # each group's runs, up to the first group that failed, whose entry is its error
+        results = outcomes[None]
+        runs = {e.path: run for group, result in zip(stack, results) if isinstance(result, list)
+                for e, run in zip(group, result)}
+        for experiment in members:
+            if experiment.path not in runs:
+                raise results[-1]
+            manifest = runs[experiment.path]
+            splits = [outcomes.get(path) for path in staged[experiment.path]]
+            manifest_path = save_run(manifest, dirs[experiment.path], splits)
             yield experiment.cfg, manifest, experiment.test_set, manifest_path
+
+
+def _split_writer(experiments):
+    """A `write_split` for `run_experiment`s that write the splits of
+    `experiments` in one process: each distinct split (one built object) is
+    rendered once, and its bytes are dropped after its last write."""
+    from collections import Counter
+
+    from .data import csv_chunks
+
+    left = Counter(id(split) for e in experiments for split in (e.train_set, e.test_set))
+    rendered = {}
+
+    def write(split, path):
+        key = id(split)
+        if key not in rendered:
+            rendered[key] = b"".join(csv_chunks(split))
+        left[key] -= 1
+        write_atomically(path, (rendered[key] if left[key] else rendered.pop(key),), "CSV")
+
+    return write
 
 
 def cmd_train(args) -> int:
     from .pool import worker_count
 
     experiment = load_experiment(args.config, parse_config(args.config), {})
-    cfg, manifest, _, manifest_path = next(run_experiment([experiment], worker_count(2)))
+    cfg, manifest, _, manifest_path = next(run_experiment([[experiment]], worker_count(2)))
     print(f"run complete: {len(manifest.snapshots)} snapshots in {cfg.output_dir}")
     print(f"manifest: {manifest_path}")
     return 0
@@ -363,7 +404,7 @@ def _closing_on_error(task, runs):
 def cmd_sweep(args) -> int:
     # only this command, `train` and a large `interpolate` compile the worker code
     from .pool import run_shares, worker_count
-    from .sweep import group_experiments, sweep_configs
+    from .sweep import group_experiments, stack_groups, sweep_configs
 
     configs = sweep_configs(args.config_dir, parse_config)
     built = {}  # each distinct split, held for the whole sweep
@@ -381,16 +422,19 @@ def cmd_sweep(args) -> int:
             print(f"{name}: mode={mode} snapshots={m} ensemble_error={error:.4f}")
             rows.append([name, mode, epochs, m, _fmt(error)])
 
-    # With n workers, worker w trains groups w, w + n, w + 2n, ... and
-    # finishes their configs in config order, so a share that stops at an
-    # error leaves only configs after it.
+    # With n workers, worker w trains groups w, w + n, w + 2n, ..., stacked
+    # into as few SGD loops as `stack_groups` allows, and finishes their
+    # configs in config order, so a share that stops at an error leaves only
+    # configs after it.
     workers = worker_count(len(groups))
     shares = []
     for w in range(workers):
+        mine = groups[w::workers]
+        write_split = _split_writer([e for group in mine for e in group])
         tasks, runs = {}, []
-        for group in groups[w::workers]:
-            runs.append(run_experiment(group))
-            tasks.update((e.path, partial(_sweep_row, e.path, runs[-1])) for e in group)
+        for stack in stack_groups(mine):
+            runs.append(run_experiment(stack, write_split=write_split))
+            tasks.update((e.path, partial(_sweep_row, e.path, runs[-1])) for group in stack for e in group)
         shares.append([(path, partial(_closing_on_error, tasks[path], runs)) for path in paths if path in tasks])
     run_shares(shares, report, "sweep")
     if len(rows) < len(paths):

@@ -141,33 +141,37 @@ GENERATORS = {
 }
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Write `f0,...,f{d-1},label` rows; floats round-trip exactly via repr.
+def csv_chunks(dataset: Dataset):
+    """The bytes of `save_csv`'s file, as a sequence of blocks.
 
-    The bytes equal `csv.writer`'s (CRLF line ends; no cell needs quoting).
     Rows go out in blocks of about `CSV_BLOCK_CELLS` cells, so memory stays
     flat, and each distinct float64 bit pattern in a block is formatted
     once (bit patterns, not values, so -0.0 and 0.0 keep their own text).
-    The file is written atomically: a failed write leaves the old file.
     """
     inputs = dataset.inputs
     n, d = inputs.shape
     step = max(1, CSV_BLOCK_CELLS // d)
     labels = dataset.labels.tolist()
+    yield (",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n").encode()
+    for start in range(0, n, step):
+        bits = inputs[start : start + step].view(np.uint64)
+        distinct, codes = np.unique(bits, return_inverse=True)
+        texts = list(map(repr, distinct.view(np.float64).tolist()))
+        cells = list(map(texts.__getitem__, codes.ravel().tolist()))
+        yield "".join(
+            f"{','.join(cells[k : k + d])},{label}\r\n"
+            for k, label in zip(range(0, len(cells), d), labels[start : start + step])
+        ).encode()
 
-    def chunks():
-        yield (",".join([f"f{j}" for j in range(d)] + ["label"]) + "\r\n").encode()
-        for start in range(0, n, step):
-            bits = inputs[start : start + step].view(np.uint64)
-            distinct, codes = np.unique(bits, return_inverse=True)
-            texts = list(map(repr, distinct.view(np.float64).tolist()))
-            cells = list(map(texts.__getitem__, codes.ravel().tolist()))
-            yield "".join(
-                f"{','.join(cells[k : k + d])},{label}\r\n"
-                for k, label in zip(range(0, len(cells), d), labels[start : start + step])
-            ).encode()
 
-    write_atomically(path, chunks(), "CSV")
+def save_csv(dataset: Dataset, path) -> None:
+    """Write `f0,...,f{d-1},label` rows; floats round-trip exactly via repr.
+
+    The bytes equal `csv.writer`'s (CRLF line ends; no cell needs quoting);
+    `csv_chunks` renders them. The file is written atomically: a failed
+    write leaves the old file.
+    """
+    write_atomically(path, csv_chunks(dataset), "CSV")
 
 
 def load_csv(path, label_column: str = "label") -> Dataset:

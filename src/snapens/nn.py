@@ -51,7 +51,11 @@ class ModelSpec:
 
 @dataclass
 class Batch:
-    """A mini-batch: inputs (n x d) and integer class labels (n)."""
+    """A mini-batch: inputs (n x d) and integer class labels (n).
+
+    A stack of K batches of one size, one per run of a stacked
+    `loss_and_grad`, has inputs (K x n x d) and labels (K x n).
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -59,15 +63,15 @@ class Batch:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2:
-            raise InputError("batch inputs must be a 2-d matrix")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.inputs.shape[0]:
+        if self.inputs.ndim not in (2, 3):
+            raise InputError("batch inputs must be a 2-d matrix or a stack of them")
+        if self.labels.shape != self.inputs.shape[:-1]:
             raise InputError("batch labels length must equal the number of input rows")
         if not np.all(np.isfinite(self.inputs)):
             raise InputError("batch inputs must be finite")
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.shape[-2]
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -75,13 +79,17 @@ def param_count(spec: ModelSpec) -> int:
     return sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
 
 
+def _check_length(spec: ModelSpec, length: int) -> None:
+    if length != param_count(spec):
+        raise InputError(f"parameter vector has length {length}, spec needs {param_count(spec)}")
+
+
 def layer_views(spec: ModelSpec, params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector into (W, b) views per layer, without copying."""
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (param_count(spec),):
-        raise InputError(
-            f"parameter vector has length {params.size}, spec needs {param_count(spec)}"
-        )
+    if params.ndim != 1:
+        raise InputError("a parameter vector must be 1-d")
+    _check_length(spec, params.size)
     views = []
     offset = 0
     sizes = spec.layer_sizes
@@ -107,20 +115,53 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return values
 
 
+def _stacked_views(spec: ModelSpec, stack: np.ndarray, bias_rows: bool) -> list:
+    """Split a (K, P) stack of flat vectors into (W, b) views per layer,
+    without copying: W is (K, n_in, n_out) and b is (K, 1, n_out) with
+    `bias_rows` (to add to a stack of activations), else (K, n_out). A stack
+    of one gets the `layer_views` of its one vector, so a lone run steps on
+    its own matrices."""
+    if stack.shape[0] == 1:
+        return layer_views(spec, stack[0])
+    views = []
+    offset = 0
+    sizes = spec.layer_sizes
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        w = stack[:, offset : offset + n_in * n_out].reshape(len(stack), n_in, n_out, copy=False)
+        offset += n_in * n_out
+        b = stack[:, offset : offset + n_out]
+        b = b.reshape(len(stack), 1, n_out, copy=False) if bias_rows else b
+        offset += n_out
+        views.append((w, b))
+    return views
+
+
 class Workspace:
-    """Flat param and grad vectors with their per-layer (W, b) views, built once.
+    """Param and grad arrays with their per-layer (W, b) views, built once.
 
     A training run owns one workspace: it updates `params` in place and passes
     the workspace to `loss_and_grad`, which then writes the gradient into
     `grad` through the prebuilt views instead of allocating and re-slicing
-    two vectors on every step.
+    two arrays on every step. With `runs` = None the arrays are flat vectors;
+    with runs = K they are (K, P) stacks, one row per run of a stacked step.
     """
 
-    def __init__(self, spec: ModelSpec):
-        self.params = np.zeros(param_count(spec), dtype=np.float64)
-        self.grad = np.zeros_like(self.params)
-        self.layers = layer_views(spec, self.params)
-        self.grad_layers = layer_views(spec, self.grad)
+    def __init__(self, spec: ModelSpec, runs: int | None = None):
+        shape = (param_count(spec),) if runs is None else (runs, param_count(spec))
+        self._bind(spec, np.zeros(shape), np.zeros(shape))
+
+    def _bind(self, spec, params, grad):
+        self.spec = spec
+        self.params = params
+        self.grad = grad
+        self.layers = _stacked_views(spec, params.reshape(-1, params.shape[-1]), True)
+        self.grad_layers = _stacked_views(spec, grad.reshape(-1, grad.shape[-1]), False)
+
+    def head(self, runs: int) -> "Workspace":
+        """A workspace over the first `runs` rows of this stack, sharing their memory."""
+        head = object.__new__(Workspace)
+        head._bind(self.spec, self.params[:runs], self.grad[:runs])
+        return head
 
 
 def _check_mode(mode: str) -> None:
@@ -129,39 +170,49 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_features(layers, inputs) -> None:
-    n_in = layers[0][0].shape[0]
-    if inputs.shape[1] != n_in:
-        raise InputError(f"inputs have {inputs.shape[1]} features, spec expects {n_in}")
+    n_in = layers[0][0].shape[-2]
+    if inputs.shape[-1] != n_in:
+        raise InputError(f"inputs have {inputs.shape[-1]} features, spec expects {n_in}")
 
 
-def _layer_loop(layers, inputs, drop, dropout_seed, block):
+def _layer_loop(layers, inputs, dropped, block):
     """Logits and the hidden-layer buffers of one pass over `inputs`.
 
-    Rows go through in blocks of `block`, the last one shorter. Each hidden
-    layer writes into one block-sized buffer, allocated once per call and
-    reused by every block; after a single-block pass the buffers hold every
-    row's activations, relu(z) * mask / keep. With dropout, callers pass a
-    block that covers the whole batch, so the masks for a seed are the same
-    in training and in `forward`.
+    `layers` are the (W, b) views of one run (`layer_views`), with `inputs`
+    (n x d), or of a stack of K runs (`_stacked_views`), with `inputs`
+    (K x n x d). Each layer is one `np.matmul`, which makes one BLAS call per
+    run at that run's shapes, so a stacked run gets the bytes it gets alone.
+    `dropped` lists (index, seed, keep) for each run that drops units: its
+    index in the stack (`...` for one run), the seed of its masks and its
+    keep rate. Rows go through in blocks of `block`, the last one shorter.
+    Each hidden layer writes into one block-sized buffer, allocated once per
+    call and reused by every block; after a single-block pass the buffers
+    hold every row's activations, relu(z) * mask / keep. With dropout,
+    callers pass a block that covers the whole batch, so the masks for a
+    seed are the same in training and in `forward`.
     """
     _check_features(layers, inputs)
-    n = inputs.shape[0]
-    rng = np.random.default_rng(dropout_seed) if drop > 0.0 else None
-    keep = 1.0 - drop
-    hidden = [np.empty((min(n, block), w.shape[1])) for w, _ in layers[:-1]]
-    logits = np.empty((n, layers[-1][0].shape[1]))
+    n = inputs.shape[-2]
+    masks = [(k, np.random.default_rng(seed), keep) for k, seed, keep in dropped]
+    runs = inputs.shape[:-2]
+    hidden = [np.empty((*runs, min(n, block), w.shape[-1])) for w, _ in layers[:-1]]
+    logits = np.empty((*runs, n, layers[-1][0].shape[-1]))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        a = inputs[start:stop]
+        whole = stop - start == n  # one block: the buffers themselves, unsliced
+        a = inputs if whole else inputs[..., start:stop, :]
         for i, (w, b) in enumerate(layers):
-            z = hidden[i][: stop - start] if i < len(hidden) else logits[start:stop]
+            if i < len(hidden):
+                z = hidden[i] if whole else hidden[i][..., : stop - start, :]
+            else:
+                z = logits if whole else logits[..., start:stop, :]
             np.matmul(a, w, out=z)
             z += b
             if i < len(hidden):
                 np.maximum(z, 0.0, out=z)
-                if drop > 0.0:
-                    z *= rng.random(z.shape) < keep
-                    z /= keep
+                for k, rng, keep in masks:
+                    z[k] *= rng.random(z[k].shape) < keep
+                    z[k] /= keep
             a = z
     return logits, hidden
 
@@ -183,7 +234,8 @@ def forward(
     _check_mode(mode)
     drop = spec.dropout_rate if mode == "train" else 0.0
     block = max(len(batch), 1) if drop > 0.0 else EVAL_BLOCK_ROWS
-    return _layer_loop(layer_views(spec, params), batch.inputs, drop, dropout_seed, block)[0]
+    dropped = [(..., dropout_seed, 1.0 - drop)] if drop > 0.0 else []
+    return _layer_loop(layer_views(spec, params), batch.inputs, dropped, block)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -209,42 +261,69 @@ def loss_and_grad(
     gradient is a new vector. With one, `params` must be `workspace.params`;
     the gradient is written into `workspace.grad`, which is returned and is
     overwritten by the next call.
+
+    Stacked form, for K runs of one layer shape stepped at once: `spec` is a
+    sequence of K ModelSpecs (dropout rates may differ), `params` a (K, P)
+    array (with a workspace, that of `Workspace(spec, K)`), `batch` a stack
+    of K batches and `dropout_seed` a sequence of K seeds. It returns the K
+    losses as a list of floats and the (K, P) gradient, and each run's loss
+    and gradient have the bytes of its own unstacked call.
     """
     _check_mode(mode)
+    stacked = not isinstance(spec, ModelSpec)
+    specs, seeds = (spec, dropout_seed) if stacked else ((spec,), (dropout_seed,))
     if workspace is None:
-        layers = layer_views(spec, params)
-        grad = np.zeros(param_count(spec), dtype=np.float64)
-        grad_layers = layer_views(spec, grad)
+        params = np.asarray(params, dtype=np.float64)
+        _check_length(specs[0], params.shape[-1])
+        grad = np.zeros_like(params)
+        layers = _stacked_views(specs[0], params.reshape(-1, params.shape[-1]), True)
+        grad_layers = _stacked_views(specs[0], grad.reshape(-1, grad.shape[-1]), False)
     elif params is workspace.params:
         layers, grad, grad_layers = workspace.layers, workspace.grad, workspace.grad_layers
     else:
         raise InputError("with a workspace, params must be the workspace's own vector")
-    drop = spec.dropout_rate if mode == "train" else 0.0
-    n = len(batch)
-    logits, hidden = _layer_loop(layers, batch.inputs, drop, dropout_seed, max(n, 1))
-    activations = [batch.inputs, *hidden]
+    if stacked and (
+        not len(specs) == len(seeds) == len(params)
+        or len(specs) > 1 and any(s.layer_sizes != specs[0].layer_sizes for s in specs)
+    ):
+        raise InputError("a stacked call needs one spec of one layer shape and one dropout seed per run")
+    inputs, labels = batch.inputs, batch.labels
+    one = inputs.ndim > layers[0][0].ndim  # a stack of one steps on its run's own arrays
+    if one:
+        inputs, labels = inputs[0], labels[0]
+    dropped = [
+        (k if inputs.ndim == 3 else ..., seed, 1.0 - s.dropout_rate)
+        for k, (s, seed) in enumerate(zip(specs, seeds))
+        if s.dropout_rate > 0.0
+    ] if mode == "train" else []
+    n = inputs.shape[-2]
+    logits, hidden = _layer_loop(layers, inputs, dropped, max(n, 1))
+    activations = [inputs, *hidden]
+    # each row's logit of its label: (row, label) pairs, or (run, row, label)
     rows = np.arange(n)
-    labels = batch.labels
-    logits -= logits.max(axis=1, keepdims=True)
+    picked = (rows, labels) if labels.ndim == 1 else (np.arange(len(labels))[:, None], rows, labels)
+    logits -= logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits)
-    expsum = exp.sum(axis=1, keepdims=True)
-    loss = float(np.add.reduce(np.log(expsum[:, 0]) - logits[rows, labels]) / n)
+    expsum = exp.sum(axis=-1, keepdims=True)
+    losses = np.add.reduce(np.log(expsum[..., 0]) - logits[picked], axis=-1) / n
 
     delta = exp
     delta /= expsum
-    delta[rows, labels] -= 1.0
+    delta[picked] -= 1.0
     delta /= n
 
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grad_layers[i]
-        np.matmul(activations[i].T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)
+        np.matmul(activations[i].mT, delta, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
         if i > 0:
-            delta = delta @ layers[i][0].T
+            delta = delta @ layers[i][0].mT
             delta *= activations[i] > 0.0  # a unit that is off or dropped passes none
-            if drop > 0.0:
-                delta /= 1.0 - drop
-    return loss, grad
+            for k, _, keep in dropped:
+                delta[k] /= keep
+    if not stacked:
+        return float(losses), grad
+    return ([float(losses)] if one else losses.tolist()), grad
 
 
 def check_labels(spec: ModelSpec, labels) -> np.ndarray:

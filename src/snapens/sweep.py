@@ -2,7 +2,8 @@
 
 Only `cli.cmd_sweep` imports this module, so the other commands do not
 compile it at start-up. The sweep trains its groups of configs on
-`snapens.pool`'s forked workers.
+`snapens.pool`'s forked workers, each worker's consecutive groups of one
+shape stacked into one SGD loop (`stack_groups`).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import os
 
 from .config import input_files
 from .errors import ConfigError, InputError
-from .trainer import trajectory_key
+from .trainer import STACK_BYTES, loop_shape, step_bytes, trajectory_key
 
 
 def sweep_configs(config_dir, parse_config):
@@ -49,3 +50,22 @@ def group_experiments(experiments):
         key = (id(experiment.train_set), trajectory_key(experiment.config))
         groups.setdefault(key, []).append(experiment)
     return list(groups.values())
+
+
+def stack_groups(groups):
+    """Groups, in order, split into stacks that `trainer.train_stack` runs
+    in one loop each: runs of consecutive groups with one
+    `trainer.loop_shape` whose `trainer.step_bytes` sum to at most
+    `trainer.STACK_BYTES`. A group too large to share a loop trains alone."""
+    stacks, shape, held = [], None, 0
+    for group in groups:
+        config = group[0].config
+        this = loop_shape(config, len(group[0].train_set))
+        size = step_bytes(config)
+        if stacks and this == shape and held + size <= STACK_BYTES:
+            stacks[-1].append(group)
+            held += size
+        else:
+            stacks.append([group])
+            shape, held = this, size
+    return stacks

@@ -359,3 +359,41 @@ def test_evaluate_error_rejects_label_outside_class_count(moons200):
     labels[0] = 2
     with pytest.raises(InputError, match="labels"):
         evaluate_error(spec, init_params(spec, 0), Batch(moons200.inputs, labels))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_stacked_loss_and_grad_gives_each_run_its_lone_bytes(rows):
+    specs = [ModelSpec((3, 7, 5, 4), dropout_rate=rate) for rate in (0.0, 0.3, 0.5)]
+    rng = np.random.default_rng(rows)
+    workspace = Workspace(specs[0], len(specs))
+    workspace.params[...] = rng.normal(scale=0.8, size=workspace.params.shape)
+    stack = Batch(rng.normal(size=(3, rows, 3)), rng.integers(0, 4, (3, rows)))
+    seeds = (5, 6, 7)
+    losses, grad = loss_and_grad(specs, workspace.params, stack, "train", seeds, workspace=workspace)
+    assert grad is workspace.grad and grad.shape == workspace.params.shape
+    for k, spec in enumerate(specs):
+        batch = Batch(stack.inputs[k], stack.labels[k])
+        loss, lone = loss_and_grad(spec, workspace.params[k].copy(), batch, "train", seeds[k])
+        assert losses[k] == loss
+        assert grad[k].tobytes() == lone.tobytes()
+
+
+def test_stack_of_one_equals_the_lone_call():
+    spec = ModelSpec((2, 6, 3), dropout_rate=0.2)
+    rng = np.random.default_rng(3)
+    workspace = Workspace(spec, 1)
+    workspace.params[0] = rng.normal(size=param_count(spec))
+    batch = Batch(rng.normal(size=(9, 2)), rng.integers(0, 3, 9))
+    losses, grad = loss_and_grad([spec], workspace.params, Batch(batch.inputs[None], batch.labels[None]),
+                                 "train", [11], workspace=workspace)
+    loss, lone = loss_and_grad(spec, workspace.params[0].copy(), batch, "train", 11)
+    assert losses == [loss]
+    assert grad.tobytes() == lone.tobytes()
+
+
+def test_stacked_call_refuses_mixed_layer_shapes():
+    specs = [ModelSpec((2, 4, 2)), ModelSpec((2, 5, 2))]
+    params = np.zeros((2, param_count(specs[0])))
+    batch = Batch(np.zeros((2, 3, 2)), np.zeros((2, 3), int))
+    with pytest.raises(InputError, match="one layer shape"):
+        loss_and_grad(specs, params, batch, "train", [0, 0])

@@ -12,6 +12,7 @@ import pytest
 
 import snapens.cli as cli_mod
 import snapens.errors as errors_mod
+import snapens.sweep as sweep_mod
 from conftest import cpus, subprocess_env
 from snapens.cli import main
 
@@ -68,6 +69,20 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def count_train_calls(monkeypatch):
+    """The modes of each group of each `cli.train` call from now on, one list per call."""
+    trained = []
+    real_train = cli_mod.train
+
+    def counting_train(config, train_set, others=(), out_dirs=None, stack=()):
+        groups = [[config, *others], *(configs for configs, _, _ in stack)]
+        trained.append([[c.mode for c in configs] for configs in groups])
+        return real_train(config, train_set, others, out_dirs, stack)
+
+    monkeypatch.setattr(cli_mod, "train", counting_train)
+    return trained
 
 
 def sweep_in(workdir, config_dir, monkeypatch, capsys):
@@ -131,24 +146,103 @@ def test_divergence_in_the_middle_exits_3_after_the_configs_before_it(
 def test_shared_trajectory_trains_once_and_matches_lone_runs_byte_for_byte(
     moons_sweep, tmp_path, monkeypatch, capsys
 ):
-    trained = []
-    real_train = cli_mod.train
-
-    def counting_train(config, train_set, others=(), *out_dirs):
-        trained.append((config.mode, [other.mode for other in others]))
-        return real_train(config, train_set, others, *out_dirs)
-
     cpus(monkeypatch, 1)
-    monkeypatch.setattr(cli_mod, "train", counting_train)
+    trained = count_train_calls(monkeypatch)
     code, _ = sweep_in(tmp_path / "sweep", moons_sweep, monkeypatch, capsys)
     assert code == 0
-    assert trained == [("snapshot", []), ("nocycle", ["single"]), ("snapshot", [])]
+    # one loop trains the three distinct trajectories once each; b_nocycle and c_single share one
+    assert trained == [[["snapshot"], ["nocycle", "single"], ["snapshot"]]]
     lone = tmp_path / "lone"
     lone.mkdir()
     monkeypatch.chdir(lone)
     for name in ("b_nocycle", "c_single"):
         assert main(["train", str(moons_sweep / f"{name}.cfg")]) == 0
         assert tree_digests(lone / "runs" / name) == tree_digests(tmp_path / "sweep" / "runs" / name)
+
+
+def test_a_sweep_share_renders_each_distinct_split_once(moons_sweep, tmp_path, monkeypatch, capsys):
+    import snapens.data as data_mod
+
+    write_config(moons_sweep, "e_blobs", "runs/e_blobs", source="blobs", params="n=200,classes=2,seed=4")
+    rendered = []
+    real_chunks = data_mod.csv_chunks
+    monkeypatch.setattr(data_mod, "csv_chunks", lambda split: rendered.append(split) or real_chunks(split))
+    cpus(monkeypatch, 1)
+    code, _ = sweep_in(tmp_path / "sweep", moons_sweep, monkeypatch, capsys)
+    assert code == 0
+    assert len(rendered) == 4  # the train and test split of two datasets, for five configs
+    runs = tmp_path / "sweep" / "runs"
+    for name in ("train.csv", "test.csv"):
+        assert len({(runs / run / name).read_bytes() for run in ("a_snapshot", "b_nocycle", "d_snapshot")}) == 1
+    assert (runs / "e_blobs" / "train.csv").read_bytes() != (runs / "a_snapshot" / "train.csv").read_bytes()
+
+
+def test_a_wide_config_between_tiny_ones_trains_alone(moons_sweep, tmp_path, monkeypatch, capsys):
+    (moons_sweep / "b_nocycle.cfg").unlink()
+    (moons_sweep / "d_snapshot.cfg").unlink()
+    write_config(moons_sweep, "b_wide", "runs/b_wide", seed=13)
+    wide = moons_sweep / "b_wide.cfg"
+    wide.write_text(wide.read_text().replace("2,16,2", "2,256,256,2"))
+    cpus(monkeypatch, 1)
+    trained = count_train_calls(monkeypatch)
+    code, out = sweep_in(tmp_path / "sweep", moons_sweep, monkeypatch, capsys)
+    assert code == 0 and len(out.out.splitlines()) == 4
+    # a_snapshot and c_single share a shape, but only consecutive groups share a loop
+    assert trained == [[["snapshot"]], [["snapshot"]], [["single"]]]
+
+
+def shaped_group(layers, batch_size, n, epochs, seed=0):
+    """A one-config group for `stack_groups`: an Experiment with a resolved config and a split of n rows."""
+    from snapens.cli import Experiment
+    from snapens.data import gen_two_moons
+    from snapens.nn import ModelSpec
+    from snapens.schedule import ScheduleSpec
+    from snapens.trainer import TrainConfig, iterations_for
+
+    total = iterations_for(n, batch_size, epochs)
+    config = TrainConfig(ModelSpec(layers), ScheduleSpec("cyclic_cosine", 0.2, total, 2), "snapshot",
+                         epochs, batch_size, seed=seed)
+    return [Experiment(f"{seed}.cfg", None, config, gen_two_moons(n, 0.1, seed=0), None)]
+
+
+def test_three_spirals_runs_share_a_loop_and_a_wide_run_never_does():
+    spirals = [shaped_group((2, 64, 64, 2), 64, 1000, 30, seed) for seed in range(5)]
+    assert [len(stack) for stack in sweep_mod.stack_groups(spirals)] == [3, 2]
+    other = [shaped_group((2, 64, 64, 2), 64, 1000, 29), shaped_group((2, 64, 64, 2), 32, 1000, 30),
+             shaped_group((2, 64, 64, 2), 64, 998, 30), shaped_group((2, 32, 64, 2), 64, 1000, 30)]
+    mixed = [spirals[0], other[0], spirals[1], other[1], other[2], spirals[2], other[3]]
+    assert [len(stack) for stack in sweep_mod.stack_groups(mixed)] == [1] * 7
+    wide = [shaped_group((784, 256, 256, 10), 64, 250, 2, seed) for seed in range(2)]
+    assert [len(stack) for stack in sweep_mod.stack_groups(wide)] == [1, 1]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("failing", ["a", "c", "e", "f"])
+def test_divergence_in_a_stack_matches_the_unstacked_sweep(tmp_path, monkeypatch, capsys, deadline, count, failing):
+    """Six groups: one stack of six at 1 CPU, stacks (a, c, e) and (b, d, f)
+    at 2, so a, c, e and f fail first, in the middle or last of a stack."""
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    for seed, name in enumerate("abcdef", start=21):
+        alpha0 = 1e18 if name == failing else 0.2
+        write_config(config_dir, name, f"runs/{name}", seed=seed, alpha0=alpha0)
+        if name == failing:  # weight decay makes the overflowing parameters overflow the loss
+            (config_dir / f"{name}.cfg").write_text((config_dir / f"{name}.cfg").read_text()
+                                                    + "train.weight_decay = 0.001\n")
+    cpus(monkeypatch, count)
+    results = {}
+    for label, cap in (("unstacked", 0), ("stacked", sweep_mod.STACK_BYTES)):
+        monkeypatch.setattr(sweep_mod, "STACK_BYTES", cap)
+        trained = count_train_calls(monkeypatch)
+        with np.errstate(all="ignore"):
+            code, out = sweep_in(tmp_path / label, config_dir, monkeypatch, capsys)
+        results[label] = code, out.out, out.err, tree_digests(tmp_path / label)
+        assert [p.name for p in (tmp_path / label).rglob("*.staged*")] == []
+    assert max(len(groups) for groups in trained) == 6 // count  # the stacked sweep stacked
+    assert results["stacked"] == results["unstacked"]
+    code, stdout, stderr, _ = results["stacked"]
+    assert code == 3 and re.fullmatch(r"error: diverged at iteration \d+\n", stderr)
+    assert [line.split(":")[0] for line in stdout.splitlines()] == list("abcdef"[: "abcdef".index(failing)])
 
 
 def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, monkeypatch, capfd, deadline):

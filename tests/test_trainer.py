@@ -6,7 +6,7 @@ import pytest
 
 from snapens.config import ExperimentConfig, resolve_train_config
 from snapens.data import gen_blobs, gen_two_moons
-from snapens.errors import ConfigError, DivergenceError, InputError
+from snapens.errors import ConfigError, DivergenceError, InputError, StorageError
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
 from snapens.schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec, lr_at
 from snapens.store import save_run
@@ -19,6 +19,7 @@ from snapens.trainer import (
     sgd_step,
     train,
     train_group,
+    train_stack,
     trajectory_key,
 )
 
@@ -391,3 +392,129 @@ def test_train_matches_allocating_reference_loop_bit_for_bit(config):
     data = gen_two_moons(106, 0.1, seed=0)  # 11 batches per epoch, the last one partial
     final = train(config, data).snapshots[-1].params
     assert final.tobytes() == reference_train(config, data).tobytes()
+
+
+def run_key(run):
+    """Everything a run holds, with each snapshot's parameter bytes."""
+    return (
+        run.config_digest, run.epoch_losses, run.epoch_end_lrs,
+        [(r.cycle_index, r.iteration, r.train_loss, r.config_digest, r.params.tobytes()) for r in run.snapshots],
+    )
+
+
+def stack_groups_of(n, batch_size, epochs):
+    """Five groups of one layer shape: snapshot; singlecycle with weight
+    decay; single with dropout and a second momentum; a nocycle/single pair
+    on one trajectory; snapshot with weight decay and the second momentum."""
+    total = iterations_for(n, batch_size, epochs)
+    cyclic = ScheduleSpec("cyclic_cosine", 0.2, total, 3)
+    step = ScheduleSpec("step", 0.1, total)
+    model = ModelSpec((2, 8, 8, 2))
+    return [
+        [TrainConfig(model, cyclic, "snapshot", epochs, batch_size, seed=1)],
+        [TrainConfig(model, cyclic, "singlecycle", epochs, batch_size, seed=2, weight_decay=1e-3)],
+        [TrainConfig(ModelSpec((2, 8, 8, 2), dropout_rate=0.3), step, "single", epochs, batch_size,
+                     momentum=0.5, seed=3)],
+        [TrainConfig(model, step, "nocycle", epochs, batch_size, seed=4, snapshot_count=4),
+         TrainConfig(model, step, "single", epochs, batch_size, seed=4)],
+        [TrainConfig(model, cyclic, "snapshot", epochs, batch_size, momentum=0.5, seed=5, weight_decay=5e-4)],
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_stacked_runs_match_their_lone_runs_byte_for_byte(size):
+    data = gen_two_moons(106, 0.1, seed=0)  # 11 batches per epoch, the last one of 6 rows
+    groups = stack_groups_of(106, 10, 4)
+    alone = [[run_key(run) for run in train_group(configs, data)] for configs in groups]
+    for first in range(len(groups) - size + 1):
+        window = groups[first : first + size]
+        stacked = train_stack([(configs, data, None) for configs in window])
+        assert [[run_key(run) for run in runs] for runs in stacked] == alone[first : first + size]
+
+
+def test_stacked_groups_may_train_on_different_splits_of_one_size():
+    moons, blobs = gen_two_moons(106, 0.1, seed=0), gen_blobs(106, 2, 0.5, seed=1)
+    first, second = stack_groups_of(106, 10, 2)[:2]
+    stacked = train_stack([(first, moons, None), (second, blobs, None)])
+    assert [run_key(run) for run in stacked[0]] == [run_key(run) for run in train_group(first, moons)]
+    assert [run_key(run) for run in stacked[1]] == [run_key(run) for run in train_group(second, blobs)]
+
+
+def test_stack_of_different_shapes_is_refused():
+    data = gen_two_moons(106, 0.1, seed=0)
+    short, long = stack_groups_of(106, 10, 2)[0], stack_groups_of(106, 10, 3)[0]
+    with pytest.raises(InputError, match="share layer sizes"):
+        train_stack([(short, data, None), (long, data, None)])
+
+
+def diverging(configs, alpha0=1e18):
+    """The group with a learning rate and a weight decay that overflow its
+    loss within a few steps (1e18: at iteration 5 for each group here)."""
+    return [replace(c, schedule=replace(c.schedule, alpha0=alpha0), weight_decay=1e-3) for c in configs]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_diverging_row_ends_itself_and_the_rows_after_it(failing):
+    data = gen_two_moons(106, 0.1, seed=0)
+    groups = stack_groups_of(106, 10, 4)[:3]
+    groups[failing] = diverging(groups[failing])
+    with np.errstate(all="ignore"):
+        stacked = train_stack([(configs, data, None) for configs in groups])
+        with pytest.raises(DivergenceError) as alone:
+            train_group(groups[failing], data)
+    assert len(stacked) == failing + 1
+    for configs, runs in zip(groups, stacked[:failing]):
+        assert [run_key(run) for run in runs] == [run_key(run) for run in train_group(configs, data)]
+    assert isinstance(stacked[-1], DivergenceError)
+    assert stacked[-1].iteration == alone.value.iteration
+
+
+def test_a_later_failure_of_an_earlier_row_is_the_one_reported():
+    data = gen_two_moons(106, 0.1, seed=0)
+    groups = stack_groups_of(106, 10, 4)[:3]
+    groups[2] = diverging(groups[2])
+    groups[0] = diverging(groups[0], alpha0=1e3)  # later: at iteration 18
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as first:
+            train_group(groups[0], data)
+        with pytest.raises(DivergenceError) as third:
+            train_group(groups[2], data)
+        stacked = train_stack([(configs, data, None) for configs in groups])
+    assert third.value.iteration < first.value.iteration
+    assert len(stacked) == 1 and stacked[0].iteration == first.value.iteration
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_row_whose_snapshot_cannot_be_written_ends_like_a_diverging_one(tmp_path, monkeypatch, failing):
+    import snapens.trainer as trainer_mod
+
+    data = gen_two_moons(106, 0.1, seed=0)
+    groups = stack_groups_of(106, 10, 4)[:3]
+    dirs = []
+    for k, configs in enumerate(groups):
+        dirs.append([tmp_path / f"g{k}_{i}" for i in range(len(configs))])
+        for out in dirs[-1]:
+            out.mkdir()
+    real_write = trainer_mod.write_snapshot
+
+    def refuse(record, path):
+        if f"g{failing}_" in str(path):
+            raise StorageError(f"cannot write snapshot {path}: disk full")
+        return real_write(record, path)
+
+    monkeypatch.setattr(trainer_mod, "write_snapshot", refuse)
+    stacked = train_stack([(configs, data, out) for configs, out in zip(groups, dirs)])
+    assert len(stacked) == failing + 1 and isinstance(stacked[-1], StorageError)
+    for configs, runs in zip(groups, stacked[:failing]):
+        assert [run_key(run) for run in runs] == [run_key(run) for run in train_group(configs, data)]
+
+
+def test_stacked_sgd_step_updates_each_row_as_its_own_vector():
+    rng = np.random.default_rng(9)
+    params, grad, velocity = rng.normal(size=(3, 2, 40))
+    expected = [sgd_step(p.copy(), g, v.copy(), lr, m) for p, g, v, lr, m in
+                zip(params, grad, velocity, (0.1, 0.02), (0.9, 0.5))]
+    out_params, out_velocity = sgd_step(params, grad, velocity, (0.1, 0.02), (0.9, 0.5))
+    assert out_params is params and out_velocity is velocity
+    assert params.tobytes() == np.stack([p for p, _ in expected]).tobytes()
+    assert velocity.tobytes() == np.stack([v for _, v in expected]).tobytes()
