@@ -82,8 +82,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-# One config to run: its file, its parsed and resolved configs and its split.
-Experiment = namedtuple("Experiment", "path cfg config train_set test_set")
+# One config to run: its file, its output directory, its resolved TrainConfig and its split.
+Experiment = namedtuple("Experiment", "path out_dir config train_set test_set")
 
 
 def load_experiment(path, cfg, built):
@@ -92,12 +92,12 @@ def load_experiment(path, cfg, built):
     Its split comes from `built`, keyed by data.source and data.params, and
     is built into it when missing, so configs with the same data share one
     split. Every check a run makes before its first step runs here, and each
-    failure names the config file: the data.params values, the labels of
-    both splits against the model's class count (naming the data file too)
-    and whether the snapshots fit T.
+    failure names the config file: the data.params values, whether the data
+    files can be read (exit 4), whether the cycles or snapshots fit T, and
+    the feature count and the labels of both splits against the model
+    (naming the data file too).
     """
     from .config import input_files, resolve_train_config
-    from .trainer import snapshot_iterations
 
     key = (cfg.data_source, tuple(sorted(cfg.data_params.items())))
     try:
@@ -105,15 +105,21 @@ def load_experiment(path, cfg, built):
             built[key] = build_datasets(cfg)
         train_set, test_set = built[key]
         config = resolve_train_config(cfg, len(train_set))
+        files = input_files(cfg)
+        features, inputs = train_set.inputs.shape[1], config.model.layer_sizes[0]
+        if features != inputs:
+            message = f"the data has {features} features, but model.layers takes {inputs} inputs"
+            raise ConfigError(": ".join([*files[:1], message]))
         try:
             for split in (train_set, test_set):
                 check_labels(config.model, split.labels)
         except InputError as exc:
-            raise ConfigError(": ".join([*input_files(cfg)[-1:], str(exc)])) from None
-        snapshot_iterations(config)
+            raise ConfigError(": ".join([*files[-1:], str(exc)])) from None
     except (ConfigError, InputError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return Experiment(path, cfg, config, train_set, test_set)
+    except (FormatError, OSError) as exc:
+        raise StorageError(f"{path}: {exc}") from exc
+    return Experiment(path, cfg.output_dir, config, train_set, test_set)
 
 
 def run_experiment(stack, workers=1, write_split=None):
@@ -124,8 +130,8 @@ def run_experiment(stack, workers=1, write_split=None):
     `trainer.trajectory_key`, and all groups share the layer sizes, batch
     size, split length and epochs.
 
-    A generator: it trains on the first `next` and yields each experiment's
-    (cfg, run manifest, test set, path of the saved `run.manifest`) once that
+    A generator: it trains on the first `next` and yields each
+    (experiment, run manifest, path of the saved `run.manifest`) once that
     directory is saved, so an error while saving stops at that experiment.
     A group that failed raises its error at its first experiment, and so do
     the groups the loop ended after it. Training stages each snapshot as it
@@ -141,7 +147,7 @@ def run_experiment(stack, workers=1, write_split=None):
 
     write_split = write_split or save_csv
     members = sorted((e for group in stack for e in group), key=lambda e: e.path)
-    dirs = {e.path: e.cfg.output_dir for e in members}
+    dirs = {e.path: e.out_dir for e in members}
     groups = [
         ([e.config for e in group], group[0].train_set, [dirs[e.path] for e in group]) for group in stack
     ]
@@ -169,7 +175,7 @@ def run_experiment(stack, workers=1, write_split=None):
             manifest = runs[experiment.path]
             splits = [outcomes.get(path) for path in staged[experiment.path]]
             manifest_path = save_run(manifest, dirs[experiment.path], splits)
-            yield experiment.cfg, manifest, experiment.test_set, manifest_path
+            yield experiment, manifest, manifest_path
 
 
 def _split_writer(experiments):
@@ -197,8 +203,8 @@ def cmd_train(args) -> int:
     from .pool import worker_count
 
     experiment = load_experiment(args.config, parse_config(args.config), {})
-    cfg, manifest, _, manifest_path = next(run_experiment([[experiment]], worker_count(2)))
-    print(f"run complete: {len(manifest.snapshots)} snapshots in {cfg.output_dir}")
+    _, manifest, manifest_path = next(run_experiment([[experiment]], worker_count(2)))
+    print(f"run complete: {len(manifest.snapshots)} snapshots in {experiment.out_dir}")
     print(f"manifest: {manifest_path}")
     return 0
 
@@ -380,12 +386,12 @@ def _sweep_row(path, saved):
     """Finish one sweep config: take its saved run from `saved`, its group's
     `run_experiment`, and score its whole snapshot ensemble as read back from
     disk: its summary row."""
-    cfg, _, test_set, manifest_path = next(saved)
+    experiment, _, manifest_path = next(saved)
     records = load_run(manifest_path)
     m = len(records)
-    result = ensemble_eval(records, test_set, m, "latest")
+    result = ensemble_eval(records, experiment.test_set, m, "latest")
     name = os.path.splitext(os.path.basename(path))[0]
-    return [name, cfg.mode, cfg.epochs, m, result.ensemble_error]
+    return [name, experiment.config.mode, experiment.config.epochs, m, result.ensemble_error]
 
 
 def _closing_on_error(task, runs):

@@ -5,12 +5,14 @@ training mode and budget, the data source and the output directory. Unknown
 keys are rejected. `train.mode` fixes the schedule kind, so `schedule.kind`
 is optional and, when given, must match it. In nocycle mode `schedule.cycles`
 gives the snapshot count, mirroring the cycle count of the cyclic runs it is
-compared against. Value rules live in the spec constructors, which
-`parse_config` runs once through `resolve_train_config` before it returns.
+compared against. Value rules live in the spec constructors: `parse_config`
+builds and keeps the `TrainConfig` on a stand-in split of one batch per
+cycle, and `resolve_train_config` gives it the real iteration count, on which
+the constructors check the rules that need it (the cycles or snapshots fit T).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .data import GENERATORS, Dataset, load_csv, load_idx, normalize, split
 from .errors import ConfigError, InputError
@@ -60,20 +62,10 @@ _INPUT_FILE_PARAMS = {"csv": ("path",), "idx": ("images", "labels")}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: ModelSpec
-    kind: str | None  # schedule.kind as written; None derives it from the mode
-    alpha0: float
-    cycles: int | None
-    step_fractions: tuple[tuple[float, float], ...]
-    mode: str
-    epochs: int
-    batch_size: int
-    momentum: float
-    weight_decay: float
-    seed: int
+    train: TrainConfig  # checked on a stand-in split; see resolve_train_config
     data_source: str
-    data_params: dict[str, str] = field(default_factory=dict)
-    output_dir: str = "run"
+    data_params: dict[str, str]
+    output_dir: str
 
 
 def _parse_kv_lines(path) -> dict[str, str]:
@@ -160,36 +152,46 @@ def parse_config(path) -> ExperimentConfig:
     if source not in _SOURCE_PARAMS:
         raise ConfigError(f"data.source: unknown source {source!r}")
 
-    cfg = ExperimentConfig(
-        model=model,
-        kind=values.get("schedule.kind"),
-        alpha0=_parse(values, "schedule.alpha0", float),
-        cycles=_parse(values, "schedule.cycles", int),
-        step_fractions=_parse(
-            values, "schedule.step_fractions", _parse_step_fractions, DEFAULT_STEP_FRACTIONS
-        ),
-        mode=values["train.mode"],
-        epochs=_parse(values, "train.epochs", int),
-        batch_size=_parse(values, "train.batch_size", int),
-        momentum=_parse(values, "train.momentum", float, 0.9),
-        weight_decay=_parse(values, "train.weight_decay", float, 0.0),
-        seed=_parse(values, "train.seed", int),
-        data_source=source,
-        data_params=_parse_data_params(values.get("data.params", ""), source),
-        output_dir=values["output.dir"],
-    )
+    alpha0 = _parse(values, "schedule.alpha0", float)
+    cycles = _parse(values, "schedule.cycles", int)
+    step_fractions = _parse(values, "schedule.step_fractions", _parse_step_fractions, DEFAULT_STEP_FRACTIONS)
+    mode = values["train.mode"]
+    epochs = _parse(values, "train.epochs", int)
+    batch_size = _parse(values, "train.batch_size", int)
+    momentum = _parse(values, "train.momentum", float, 0.9)
+    weight_decay = _parse(values, "train.weight_decay", float, 0.0)
+    seed = _parse(values, "train.seed", int)
+    data_params = _parse_data_params(values.get("data.params", ""), source)
     # Build once on batch_size rows per cycle: T = epochs x cycles, so no rule
     # on total_iterations can fire and every value rule runs here.
     try:
-        config = resolve_train_config(cfg, cfg.batch_size * max(cfg.cycles or 1, 1))
+        kind = values["schedule.kind"] if "schedule.kind" in values else _schedule_kind(mode)
+        n_train = batch_size * max(cycles or 1, 1)
+        train = TrainConfig(
+            model=model,
+            schedule=ScheduleSpec(
+                kind=kind,
+                alpha0=alpha0,
+                total_iterations=iterations_for(n_train, batch_size, epochs),
+                cycles=cycles if kind == "cyclic_cosine" else None,
+                step_fractions=step_fractions,
+            ),
+            mode=mode,
+            epochs=epochs,
+            batch_size=batch_size,
+            momentum=momentum,
+            seed=seed,
+            snapshot_count=cycles if mode == "nocycle" else None,
+            weight_decay=weight_decay,
+        )
     except (ConfigError, InputError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    if cfg.mode == "single" and cfg.cycles is not None:
-        raise ConfigError(f"schedule.cycles: not applicable to mode {cfg.mode!r}")
-    if config.schedule.kind != "step" and "schedule.step_fractions" in values:
-        raise ConfigError(f"schedule.step_fractions: not applicable to mode {cfg.mode!r}")
-    return cfg
+    if mode == "single" and cycles is not None:
+        raise ConfigError(f"schedule.cycles: not applicable to mode {mode!r}")
+    if kind != "step" and "schedule.step_fractions" in values:
+        raise ConfigError(f"schedule.step_fractions: not applicable to mode {mode!r}")
+    return ExperimentConfig(train, source, data_params, values["output.dir"])
 
 
 def _param(params: dict[str, str], key: str, default, convert):
@@ -246,28 +248,9 @@ def input_files(cfg: ExperimentConfig) -> list[str]:
 
 
 def resolve_train_config(cfg: ExperimentConfig, n_train: int) -> TrainConfig:
-    """Turn a parsed config plus the training-set size into a TrainConfig.
-
-    Epochs convert to iterations here; the schedule is built with the exact T
-    the trainer will execute. This is the only place a TrainConfig is built
-    from a config file.
-    """
-    kind = _schedule_kind(cfg.mode) if cfg.kind is None else cfg.kind
-    schedule = ScheduleSpec(
-        kind=kind,
-        alpha0=cfg.alpha0,
-        total_iterations=iterations_for(n_train, cfg.batch_size, cfg.epochs),
-        cycles=cfg.cycles if kind == "cyclic_cosine" else None,
-        step_fractions=cfg.step_fractions,
-    )
-    return TrainConfig(
-        model=cfg.model,
-        schedule=schedule,
-        mode=cfg.mode,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
-        seed=cfg.seed,
-        snapshot_count=cfg.cycles if cfg.mode == "nocycle" else None,
-        weight_decay=cfg.weight_decay,
-    )
+    """The config's TrainConfig for a training set of `n_train` rows: epochs
+    convert to iterations here, and the spec constructors check the rules
+    that need T."""
+    train = cfg.train
+    total = iterations_for(n_train, train.batch_size, train.epochs)
+    return replace(train, schedule=replace(train.schedule, total_iterations=total))

@@ -39,8 +39,12 @@ class ScheduleSpec:
         if self.kind == "cyclic_cosine":
             if self.cycles is None or self.cycles < 1:
                 raise InputError("schedule.cycles: cyclic_cosine needs a cycle count >= 1")
-            if self.cycles > self.total_iterations:
-                raise InputError("schedule.cycles must not exceed total_iterations")
+            snapshots = math.ceil(self.total_iterations / self.cycle_length)
+            if snapshots != self.cycles:
+                raise InputError(
+                    f"schedule.cycles: {self.cycles} cycles cannot fit "
+                    f"{self.total_iterations} iterations (would yield {snapshots} snapshots)"
+                )
         if self.kind == "step":
             fracs = tuple((float(f), float(m)) for f, m in self.step_fractions)
             object.__setattr__(self, "step_fractions", fracs)

@@ -110,6 +110,8 @@ class TrainConfig:
         if self.mode == "nocycle":
             if self.snapshot_count is None or self.snapshot_count < 1:
                 raise ConfigError("schedule.cycles: nocycle mode needs a snapshot count >= 1")
+            if self.snapshot_count > self.schedule.total_iterations:
+                raise ConfigError("schedule.cycles: snapshot count exceeds total iterations")
         elif self.snapshot_count is not None:
             raise ConfigError("snapshot_count is only valid in nocycle mode")
 
@@ -202,20 +204,12 @@ def trajectory_key(config: TrainConfig) -> str:
 
 
 def snapshot_iterations(config: TrainConfig) -> tuple[int, ...]:
-    """The iterations `config` snapshots after; a ConfigError when they do not fit T."""
+    """The iterations `config` snapshots after."""
     total = config.schedule.total_iterations
     if config.schedule.kind == "cyclic_cosine":
-        ends = cycle_end_iterations(config.schedule)
-        if len(ends) != config.schedule.cycles:
-            raise ConfigError(
-                f"schedule.cycles: {config.schedule.cycles} cycles cannot fit "
-                f"{total} iterations (would yield {len(ends)} snapshots)"
-            )
-        return ends
+        return cycle_end_iterations(config.schedule)
     if config.mode == "nocycle":
         count = config.snapshot_count
-        if count > total:
-            raise ConfigError("schedule.cycles: snapshot count exceeds total iterations")
         return tuple(math.floor(k * total / count) for k in range(1, count + 1))
     return (total,)
 

@@ -29,14 +29,14 @@ def write(tmp_path, text):
 
 def test_parse_full_config(tmp_path):
     cfg = parse_config(write(tmp_path, GOOD))
-    assert cfg.model.layer_sizes == (2, 16, 2)
+    assert cfg.train.model.layer_sizes == (2, 16, 2)
     assert resolve_train_config(cfg, n_train=100).schedule.kind == "cyclic_cosine"
-    assert cfg.alpha0 == 0.2
-    assert cfg.cycles == 4
-    assert cfg.mode == "snapshot"
-    assert cfg.epochs == 8
-    assert cfg.batch_size == 25
-    assert cfg.seed == 11
+    assert cfg.train.schedule.alpha0 == 0.2
+    assert cfg.train.schedule.cycles == 4
+    assert cfg.train.mode == "snapshot"
+    assert cfg.train.epochs == 8
+    assert cfg.train.batch_size == 25
+    assert cfg.train.seed == 11
     assert cfg.data_source == "two_moons"
     assert cfg.data_params["n"] == "200"
     assert cfg.output_dir == "runs/demo"
@@ -44,7 +44,7 @@ def test_parse_full_config(tmp_path):
 
 def test_inline_comments_and_blank_lines(tmp_path):
     text = GOOD.replace("train.seed = 11", "train.seed = 11   # reproducibility\n\n")
-    assert parse_config(write(tmp_path, text)).seed == 11
+    assert parse_config(write(tmp_path, text)).train.seed == 11
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -95,7 +95,7 @@ def test_step_fractions_parsing(tmp_path):
     text = text.replace("train.mode = snapshot", "train.mode = nocycle")
     text += "schedule.step_fractions = 0.4:0.5,0.8:0.2\n"
     cfg = parse_config(write(tmp_path, text))
-    assert cfg.step_fractions == ((0.4, 0.5), (0.8, 0.2))
+    assert cfg.train.schedule.step_fractions == ((0.4, 0.5), (0.8, 0.2))
 
 
 @pytest.mark.parametrize("mode", ["snapshot", "singlecycle"])

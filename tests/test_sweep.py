@@ -168,13 +168,16 @@ def test_a_sweep_share_renders_each_distinct_split_once(moons_sweep, tmp_path, m
     real_chunks = data_mod.csv_chunks
     monkeypatch.setattr(data_mod, "csv_chunks", lambda split: rendered.append(split) or real_chunks(split))
     cpus(monkeypatch, 1)
-    code, _ = sweep_in(tmp_path / "sweep", moons_sweep, monkeypatch, capsys)
-    assert code == 0
-    assert len(rendered) == 4  # the train and test split of two datasets, for five configs
+    code, out = sweep_in(tmp_path / "sweep", moons_sweep, monkeypatch, capsys)
+    assert code == 0, out.err
+    # each split rendered, as (shape, first label), for a failure to show
+    splits = [(split.inputs.shape, int(split.labels[0])) for split in rendered]
+    assert len(rendered) == 4, splits  # the train and test split of two datasets, for five configs
     runs = tmp_path / "sweep" / "runs"
     for name in ("train.csv", "test.csv"):
-        assert len({(runs / run / name).read_bytes() for run in ("a_snapshot", "b_nocycle", "d_snapshot")}) == 1
-    assert (runs / "e_blobs" / "train.csv").read_bytes() != (runs / "a_snapshot" / "train.csv").read_bytes()
+        moons = {(runs / run / name).read_bytes() for run in ("a_snapshot", "b_nocycle", "d_snapshot")}
+        assert len(moons) == 1, splits
+    assert (runs / "e_blobs" / "train.csv").read_bytes() != (runs / "a_snapshot" / "train.csv").read_bytes(), splits
 
 
 def test_a_wide_config_between_tiny_ones_trains_alone(moons_sweep, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from snapens.config import ExperimentConfig, resolve_train_config
 from snapens.data import gen_blobs, gen_two_moons
 from snapens.errors import ConfigError, DivergenceError, InputError, StorageError
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
-from snapens.schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec, lr_at
+from snapens.schedule import ScheduleSpec, lr_at
 from snapens.store import save_run
 from snapens.trainer import (
     SGD_BLOCK,
@@ -77,8 +77,7 @@ def test_trajectory_key_covers_every_field_that_steers_a_step():
     assert trajectory_key(replace(config, mode="singlecycle")) != trajectory_key(config)
     single = step_config(100, 10, 4, "single", seed=3)
     assert trajectory_key(single) == trajectory_key(replace(single, mode="nocycle", snapshot_count=5))
-    cfg = ExperimentConfig(MODEL, None, 0.1, 3, DEFAULT_STEP_FRACTIONS, "nocycle", 4, 10, 0.9, 0.0, 3,
-                           "two_moons", {}, "runs/a")
+    cfg = ExperimentConfig(replace(single, mode="nocycle", snapshot_count=3), "two_moons", {}, "runs/a")
     assert trajectory_key(resolve_train_config(cfg, 100)) == trajectory_key(
         resolve_train_config(replace(cfg, output_dir="runs/b"), 100)
     )
@@ -284,12 +283,16 @@ def test_mode_schedule_kind_pairing_enforced():
 
 
 def test_unfittable_cycle_count_is_config_error():
-    data = gen_two_moons(10, 0.1, seed=0)
     # T = 10, M = 7 -> L = 2 -> only 5 cycle ends
-    schedule = ScheduleSpec("cyclic_cosine", 0.2, 10, 7)
-    config = TrainConfig(MODEL, schedule, "snapshot", 1, 1, seed=0)
-    with pytest.raises(ConfigError, match="cycles"):
-        train(config, data)
+    with pytest.raises(InputError, match=r"7 cycles cannot fit 10 iterations \(would yield 5 snapshots\)"):
+        ScheduleSpec("cyclic_cosine", 0.2, 10, 7)
+
+
+def test_nocycle_snapshot_count_above_t_is_config_error():
+    step = ScheduleSpec("step", 0.1, 10)
+    assert TrainConfig(MODEL, step, "nocycle", 1, 1, snapshot_count=10).snapshot_count == 10
+    with pytest.raises(ConfigError, match="snapshot count exceeds total iterations"):
+        TrainConfig(MODEL, step, "nocycle", 1, 1, snapshot_count=11)
 
 
 def test_divergence_raises_with_iteration():
