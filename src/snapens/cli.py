@@ -528,6 +528,3 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -132,11 +132,18 @@ def _parse_data_params(text: str, source: str) -> dict[str, str]:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read and validate a config file; raises ConfigError naming any bad key."""
+    """Read and validate a config file; raises ConfigError naming the file and any bad key."""
     values = _parse_kv_lines(path)
+    try:
+        return _experiment_config(values)
+    except (ConfigError, InputError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _experiment_config(values: dict[str, str]) -> ExperimentConfig:
     for key in _REQUIRED_KEYS:
         if key not in values:
-            raise ConfigError(f"{path}: missing required key {key!r}")
+            raise ConfigError(f"missing required key {key!r}")
 
     try:
         layers = tuple(int(s) for s in values["model.layers"].split(","))
@@ -164,28 +171,25 @@ def parse_config(path) -> ExperimentConfig:
     data_params = _parse_data_params(values.get("data.params", ""), source)
     # Build once on batch_size rows per cycle: T = epochs x cycles, so no rule
     # on total_iterations can fire and every value rule runs here.
-    try:
-        kind = values["schedule.kind"] if "schedule.kind" in values else _schedule_kind(mode)
-        n_train = batch_size * max(cycles or 1, 1)
-        train = TrainConfig(
-            model=model,
-            schedule=ScheduleSpec(
-                kind=kind,
-                alpha0=alpha0,
-                total_iterations=iterations_for(n_train, batch_size, epochs),
-                cycles=cycles if kind == "cyclic_cosine" else None,
-                step_fractions=step_fractions,
-            ),
-            mode=mode,
-            epochs=epochs,
-            batch_size=batch_size,
-            momentum=momentum,
-            seed=seed,
-            snapshot_count=cycles if mode == "nocycle" else None,
-            weight_decay=weight_decay,
-        )
-    except (ConfigError, InputError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    kind = values["schedule.kind"] if "schedule.kind" in values else _schedule_kind(mode)
+    n_train = batch_size * max(cycles or 1, 1)
+    train = TrainConfig(
+        model=model,
+        schedule=ScheduleSpec(
+            kind=kind,
+            alpha0=alpha0,
+            total_iterations=iterations_for(n_train, batch_size, epochs),
+            cycles=cycles if kind == "cyclic_cosine" else None,
+            step_fractions=step_fractions,
+        ),
+        mode=mode,
+        epochs=epochs,
+        batch_size=batch_size,
+        momentum=momentum,
+        seed=seed,
+        snapshot_count=cycles if mode == "nocycle" else None,
+        weight_decay=weight_decay,
+    )
 
     if mode == "single" and cycles is not None:
         raise ConfigError(f"schedule.cycles: not applicable to mode {mode!r}")

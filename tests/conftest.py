@@ -1,4 +1,3 @@
-import ctypes
 import os
 from pathlib import Path
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from snapens import ModelSpec, ScheduleSpec, TrainConfig, gen_two_moons, iterations_for, train
+from snapens.process import set_blas_threads
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -30,20 +30,10 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def blas_core_type() -> str:
-    """The core type numpy's bundled OpenBLAS runs its kernels for (`SkylakeX`,
-    `Haswell`, ...), or "unknown" without such a library or its symbol.
-
-    Golden digests hold per core type, so their failure messages name it.
-    """
-    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+def pytest_configure(config):
+    # One BLAS thread, as the `snapens` command runs: the in-process tests then
+    # give the same bytes whatever OPENBLAS_NUM_THREADS says.
+    set_blas_threads(1)
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> bool:

@@ -1,6 +1,7 @@
 """The full stderr of each config fault that `train` and `sweep` report before
 anything trains: the mode/schedule pairing, whether the cycles or snapshots
-fit T, the feature count and an unreadable data file."""
+fit T, each key's value, the feature count and an unreadable data file.
+Every message names the config file once."""
 import os
 
 import pytest
@@ -73,9 +74,36 @@ FAULTS = {
                      f"{{cfg}}: train.mode must be one of {MODES}, got 'adamw'"),
     "step_fractions_for_snapshot": (
         config_text("runs/b", extra="schedule.cycles = 2\nschedule.step_fractions = 0.5:0.1\n"),
-        "schedule.step_fractions: not applicable to mode 'snapshot'"),
+        "{cfg}: schedule.step_fractions: not applicable to mode 'snapshot'"),
     "cycles_for_single": (config_text("runs/b", "single", "schedule.cycles = 2\n"),
-                          "schedule.cycles: not applicable to mode 'single'"),
+                          "{cfg}: schedule.cycles: not applicable to mode 'single'"),
+}
+
+VALUE_FAULTS = {
+    "missing_key": (config_text("runs/b").replace("train.seed = 1\n", ""),
+                    "missing required key 'train.seed'"),
+    "epochs_not_integer": (config_text("runs/b").replace("train.epochs = 5", "train.epochs = five"),
+                           "train.epochs: not an integer: 'five'"),
+    "alpha0_not_number": (config_text("runs/b").replace("schedule.alpha0 = 0.2", "schedule.alpha0 = fast"),
+                          "schedule.alpha0: not a number: 'fast'"),
+    "step_fractions_not_pairs": (config_text("runs/b", "single", "schedule.step_fractions = 0.5\n"),
+                                 "schedule.step_fractions: expected fraction:multiplier, got '0.5'"),
+    "layers_not_integers": (config_text("runs/b", layers="2,x,2"),
+                            "model.layers: not a comma list of integers: '2,x,2'"),
+    "layers_too_few": (config_text("runs/b", layers="2"),
+                       "model.layers/model.dropout: layer_sizes needs at least an input and an output size"),
+    "dropout_out_of_range": (config_text("runs/b", extra="schedule.cycles = 2\nmodel.dropout = 1.5\n"),
+                             "model.layers/model.dropout: dropout_rate must lie in [0, 1)"),
+    "source_unknown": (config_text("runs/b", source="nope"), "data.source: unknown source 'nope'"),
+    "params_not_pairs": (config_text("runs/b", params="n20"), "data.params: expected key=value, got 'n20'"),
+    "params_unknown_key": (config_text("runs/b", params="n=20,bogus=1"),
+                           "data.params: unknown key 'bogus' for source 'two_moons'"),
+    "params_duplicate_key": (config_text("runs/b", params="n=20,n=30"), "data.params: duplicate key 'n'"),
+    "params_bad_value": (config_text("runs/b", params="n=abc"), "data.params: bad value for 'n': 'abc'"),
+    "params_missing_path": (config_text("runs/b", source="csv", params="label=label"),
+                            "data.params: missing required key 'path'"),
+    "params_rejected_by_split": (config_text("runs/b", params=MOONS + ",train_fraction=2"),
+                                 "data.params: train_fraction must lie strictly between 0 and 1"),
 }
 
 
@@ -84,6 +112,13 @@ FAULTS = {
 def test_mode_and_fit_faults_print_their_pinned_stderr(tmp_path, monkeypatch, capsys, command, fault):
     text, message = FAULTS[fault]
     assert run(command, tmp_path, monkeypatch, capsys, text) == (2, f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("fault", list(VALUE_FAULTS))
+def test_value_faults_name_the_config_once(tmp_path, monkeypatch, capsys, command, fault):
+    text, message = VALUE_FAULTS[fault]
+    assert run(command, tmp_path, monkeypatch, capsys, text) == (2, f"config error: {{cfg}}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
