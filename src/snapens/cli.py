@@ -122,64 +122,63 @@ def load_experiment(path, cfg, built):
     return Experiment(path, cfg.output_dir, config, train_set, test_set)
 
 
-def run_experiment(stack, workers=1, write_split=None):
+def _run_stack(stack, write_split, workers=1):
     """Train a stack of groups of Experiments in one SGD loop
-    (`trainer.train_stack`), then save each experiment's run directory with
-    its split, in config order (by path, as `sweep` orders its configs).
-    The experiments of a group share one training split and one
-    `trainer.trajectory_key`, and all groups share the layer sizes, batch
-    size, split length and epochs.
-
-    A generator: it trains on the first `next` and yields each
-    (experiment, run manifest, path of the saved `run.manifest`) once that
-    directory is saved, so an error while saving stops at that experiment.
-    A group that failed raises its error at its first experiment, and so do
-    the groups the loop ended after it. Training stages each snapshot as it
-    is taken, and a writer stages each split with `write_split` (default
-    `save_csv`): with `workers` > 1 on a second share of
+    (`trainer.train_stack`) and stage each experiment's split with
+    `write_split`. The experiments of a group share one training split and
+    one `trainer.trajectory_key`, and all groups share the layer sizes, batch
+    size, split length and epochs. The caller holds their directories in a
+    `store.staging`: training stages each snapshot there as it is taken, and
+    the writer stages each split, with `workers` > 1 on a second share of
     `pool.run_shares`, in a child on another CPU, while this process trains;
-    else here after training. `store.save_run` places the splits, or raises
-    the error the writer met. An error, or a close before every directory is
-    saved, removes the staged files (see `store.staging`).
+    else here after training.
+
+    Returns each experiment's outcome by config path, for `_save`: its run
+    manifest and, for each of `store.SPLIT_NAMES`, None once staged or the
+    error its writer met. A group that failed has its error as the outcome
+    of each of its experiments, and so do the groups the loop ended after it.
     """
     from .pool import run_shares
-    from .store import SPLIT_NAMES, save_run, staged_path, staging
+    from .store import SPLIT_NAMES, staged_path
 
-    write_split = write_split or save_csv
     members = sorted((e for group in stack for e in group), key=lambda e: e.path)
-    dirs = {e.path: e.out_dir for e in members}
-    groups = [
-        ([e.config for e in group], group[0].train_set, [dirs[e.path] for e in group]) for group in stack
-    ]
+    groups = [([e.config for e in group], group[0].train_set, [e.out_dir for e in group]) for group in stack]
     (configs, train_set, out_dirs), *later = groups
     run = partial(train, configs[0], train_set, configs[1:], out_dirs, later)
-    staged = {e.path: [staged_path(dirs[e.path], name) for name in SPLIT_NAMES] for e in members}
+    staged = {e.path: [staged_path(e.out_dir, name) for name in SPLIT_NAMES] for e in members}
     writes = [
         (path, partial(write_split, split, path))
         for e in members
         for path, split in zip(staged[e.path], (e.train_set, e.test_set))
     ]
     outcomes = {}  # None -> the groups' runs; staged split path -> None once written, or the error met
-    with staging(list(dirs.values())):
-        shares = [[(None, run)], writes] if workers > 1 else [[(None, run), *writes]]
-        run_shares(shares, outcomes.__setitem__, "train")
-        if isinstance(outcomes[None], BaseException):
-            raise outcomes[None]
-        # each group's runs, up to the first group that failed, whose entry is its error
-        results = outcomes[None]
-        runs = {e.path: run for group, result in zip(stack, results) if isinstance(result, list)
-                for e, run in zip(group, result)}
-        for experiment in members:
-            if experiment.path not in runs:
-                raise results[-1]
-            manifest = runs[experiment.path]
-            splits = [outcomes.get(path) for path in staged[experiment.path]]
-            manifest_path = save_run(manifest, dirs[experiment.path], splits)
-            yield experiment, manifest, manifest_path
+    shares = [[(None, run)], writes] if workers > 1 else [[(None, run), *writes]]
+    run_shares(shares, outcomes.__setitem__, "train")
+    # each group's runs, up to the first group that failed, whose entry is its
+    # error; or the one error that stopped the loop
+    results = outcomes[None] if isinstance(outcomes[None], list) else [outcomes[None]]
+    results = results + results[-1:] * (len(stack) - len(results))
+    done = {}
+    for group, result in zip(stack, results):
+        for k, e in enumerate(group):
+            splits = [outcomes.get(path) for path in staged[e.path]]
+            done[e.path] = result if isinstance(result, BaseException) else (result[k], splits)
+    return done
+
+
+def _save(experiment, outcome):
+    """Save `experiment`'s run directory from its `_run_stack` outcome, or
+    raise the error that outcome holds; return the saved manifest's path."""
+    from .store import save_run
+
+    if isinstance(outcome, BaseException):
+        raise outcome
+    manifest, splits = outcome
+    return save_run(manifest, experiment.out_dir, splits)
 
 
 def _split_writer(experiments):
-    """A `write_split` for `run_experiment`s that write the splits of
+    """A `write_split` for `_run_stack` calls that write the splits of
     `experiments` in one process: each distinct split (one built object) is
     rendered once, and its bytes are dropped after its last write."""
     from collections import Counter
@@ -201,9 +200,13 @@ def _split_writer(experiments):
 
 def cmd_train(args) -> int:
     from .pool import worker_count
+    from .store import staging
 
     experiment = load_experiment(args.config, parse_config(args.config), {})
-    _, manifest, manifest_path = next(run_experiment([[experiment]], worker_count(2)))
+    with staging([experiment.out_dir]):
+        outcome = _run_stack([[experiment]], save_csv, worker_count(2))[experiment.path]
+        manifest_path = _save(experiment, outcome)
+    manifest, _ = outcome
     print(f"run complete: {len(manifest.snapshots)} snapshots in {experiment.out_dir}")
     print(f"manifest: {manifest_path}")
     return 0
@@ -299,12 +302,17 @@ def _curve_tasks(records, dataset, pairs, grid):
     return [partial(curve_of, i, j) for i, j in pairs]
 
 
+def _write_curve(path, grid, errors):
+    _write_rows(path, ["lambda", "test_error"], [[_fmt(lam), _fmt(err)] for lam, err in zip(grid, errors)])
+
+
 def _split_curves(records, dataset, pairs, grid, paths, workers):
-    """Each pair's errors on `grid`, in pair order, computed by `workers`
-    processes: worker w runs every pair on grid[w::workers]. Share 0 holds
-    every lambda = 0 point and share (len(grid) - 1) % workers every
-    lambda = 1 point, so each snapshot is still scored once. An error stops
-    the curves at the first pair it hit, as in a serial run."""
+    """Compute each pair's errors on `grid` on `workers` processes, then
+    write each pair's curve to its path, in pair order: worker w runs every
+    pair on grid[w::workers]. Share 0 holds every lambda = 0 point and share
+    (len(grid) - 1) % workers every lambda = 1 point, so each snapshot is
+    still scored once. An error stops the curves at the first pair it hit,
+    as in a serial run."""
     from .pool import run_shares
 
     parts = {path: [] for path in paths}
@@ -319,7 +327,7 @@ def _split_curves(records, dataset, pairs, grid, paths, workers):
             if isinstance(part, BaseException):
                 raise part
             errors[np.searchsorted(grid, part.lambdas)] = part.errors
-        yield errors
+        _write_curve(path, grid, errors)
 
 
 def cmd_interpolate(args) -> int:
@@ -343,15 +351,10 @@ def cmd_interpolate(args) -> int:
 
         workers = worker_count(len(grid))
     if workers > 1:
-        curves = _split_curves(records, dataset, pairs, grid, paths, workers)
+        _split_curves(records, dataset, pairs, grid, paths, workers)
     else:
-        curves = (task().errors for task in _curve_tasks(records, dataset, pairs, grid))
-    for path, errors in zip(paths, curves):
-        _write_rows(
-            path,
-            ["lambda", "test_error"],
-            [[_fmt(lam), _fmt(err)] for lam, err in zip(grid, errors)],
-        )
+        for path, task in zip(paths, _curve_tasks(records, dataset, pairs, grid)):
+            _write_curve(path, grid, task().errors)
     print(f"wrote {len(pairs)} interpolation curve(s) to {args.out}")
     return 0
 
@@ -382,34 +385,24 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def _sweep_row(path, saved):
-    """Finish one sweep config: take its saved run from `saved`, its group's
-    `run_experiment`, and score its whole snapshot ensemble as read back from
-    disk: its summary row."""
-    experiment, _, manifest_path = next(saved)
-    records = load_run(manifest_path)
+def _sweep_row(experiment, run_stack, trained):
+    """Finish one sweep config: train its stack with `run_stack` unless an
+    earlier config of that stack did (`trained` holds the outcomes of the
+    share's trained stacks by path), save its run and score its whole
+    snapshot ensemble as read back from disk: its summary row."""
+    if experiment.path not in trained:
+        trained.update(run_stack())
+    records = load_run(_save(experiment, trained.pop(experiment.path)))
     m = len(records)
     result = ensemble_eval(records, experiment.test_set, m, "latest")
-    name = os.path.splitext(os.path.basename(path))[0]
+    name = os.path.splitext(os.path.basename(experiment.path))[0]
     return [name, experiment.config.mode, experiment.config.epochs, m, result.ensemble_error]
-
-
-def _closing_on_error(task, runs):
-    """task(), but if it raises, first close every `run_experiment` in `runs`,
-    which removes the staged files of their configs not yet saved. A share
-    stops at its first error, and a forked worker then ends through os._exit,
-    which would leave the rest of its share's generators open."""
-    try:
-        return task()
-    except BaseException:
-        for run in runs:
-            run.close()
-        raise
 
 
 def cmd_sweep(args) -> int:
     # only this command, `train` and a large `interpolate` compile the worker code
     from .pool import run_shares, worker_count
+    from .store import staging
     from .sweep import group_experiments, stack_groups, sweep_configs
 
     configs = sweep_configs(args.config_dir, parse_config)
@@ -429,22 +422,23 @@ def cmd_sweep(args) -> int:
             rows.append([name, mode, epochs, m, _fmt(error)])
 
     # With n workers, worker w trains groups w, w + n, w + 2n, ..., stacked
-    # into as few SGD loops as `stack_groups` allows, and finishes their
-    # configs in config order, so a share that stops at an error leaves only
-    # configs after it.
+    # into as few SGD loops as `stack_groups` allows, each when its first
+    # config comes up, and finishes their configs in config order, so a
+    # share that stops at an error leaves only configs after it.
     workers = worker_count(len(groups))
     shares = []
     for w in range(workers):
         mine = groups[w::workers]
         write_split = _split_writer([e for group in mine for e in group])
-        tasks, runs = {}, []
+        trained, tasks = {}, {}
         for stack in stack_groups(mine):
-            runs.append(run_experiment(stack, write_split=write_split))
-            tasks.update((e.path, partial(_sweep_row, e.path, runs[-1])) for group in stack for e in group)
-        shares.append([(path, partial(_closing_on_error, tasks[path], runs)) for path in paths if path in tasks])
-    run_shares(shares, report, "sweep")
-    if len(rows) < len(paths):
-        raise outcomes[paths[len(rows)]]
+            run_stack = partial(_run_stack, stack, write_split)
+            tasks.update((e.path, partial(_sweep_row, e, run_stack, trained)) for group in stack for e in group)
+        shares.append([(path, tasks[path]) for path in paths if path in tasks])
+    with staging([e.out_dir for e in experiments]):
+        run_shares(shares, report, "sweep")
+        if len(rows) < len(paths):
+            raise outcomes[paths[len(rows)]]
     _write_rows(args.summary, ["config", "mode", "epochs", "m", "ensemble_error"], rows)
     print(f"summary: {args.summary}")
     return 0

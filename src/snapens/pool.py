@@ -9,7 +9,7 @@ error that stopped it) into a pipe, and the calling process reports every
 outcome as it collects it. With one share nothing forks. `sweep` splits its
 groups of configs, an `interpolate` large enough to split its grid, and
 `train` runs the SGD loop in share 0 while a writer in share 1 stages the
-run's data split (`cli.run_experiment`). Only these commands import this
+run's data split (`cli._run_stack`). Only these commands import this
 module.
 """
 from __future__ import annotations

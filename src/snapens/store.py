@@ -15,12 +15,13 @@ then removes the old `run.manifest`, places the snapshots, writes `loss.csv`,
 places the splits and writes the new `run.manifest` last, so a save that
 fails partway leaves no manifest over a mix of old and new files. Then it
 removes the snapshots that manifest does not list and every staged or `.tmp`
-name of a run file. A run that fails removes its staged files instead (see
-`staging`).
+name of a run file. A run that fails removes its staged files instead, and
+one writer at a time holds a run directory (see `staging`).
 """
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import re
 from dataclasses import dataclass
@@ -325,25 +326,54 @@ def _prepare(out_dir, *names) -> None:
         raise StorageError(f"cannot prepare run directory {out_dir}: {exc}") from exc
 
 
+def _lock(out_dir):
+    """An O_RDONLY descriptor of the run directory out_dir that holds an
+    exclusive flock on it, or None where the file system has no flock."""
+    import fcntl
+
+    try:
+        fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError as exc:
+        raise StorageError(f"cannot lock run directory {out_dir}: {exc}") from exc
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        return fd
+    except OSError as exc:
+        os.close(fd)
+        if exc.errno in (errno.ENOLCK, errno.EOPNOTSUPP):
+            return None
+        if exc.errno == errno.EWOULDBLOCK:
+            raise StorageError(f"run directory {out_dir} is in use by another snapens process") from None
+        raise StorageError(f"cannot lock run directory {out_dir}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def staging(out_dirs):
-    """Make the run directories `out_dirs` for a run to stage its snapshots
-    and splits in. If the body raises, remove every staged file in them, then
-    re-raise: a run that fails leaves every file that was there as it was. A
-    directory made here stays, so that workers of a sweep never race over a
-    parent directory they share."""
-    for out in out_dirs:
-        _prepare(out)
-    try:
-        yield
-    except BaseException:
+    """Make the run directories `out_dirs` and hold each one's writer lock,
+    an exclusive flock on the directory itself, until the body ends: a
+    directory another process holds is a StorageError before anything is
+    staged. Where the file system has no flock, the directory is not locked.
+    A command holds one staging over every directory it writes, in the
+    calling process, so it ends after every forked worker has: a worker's
+    copy of a lock does not release it when the worker exits. If the body
+    raises, remove every staged file in the directories, then re-raise: a run
+    that fails, or whose worker was killed, leaves every file that was there
+    as it was. A directory made here stays."""
+    with contextlib.ExitStack() as locks:
         for out in out_dirs:
-            with contextlib.suppress(OSError):
-                for name in os.listdir(out):
-                    if name.endswith(STAGED_SUFFIX) and _is_run_file(name):
-                        with contextlib.suppress(OSError):
-                            os.remove(os.path.join(out, name))
-        raise
+            _prepare(out)
+            if (fd := _lock(out)) is not None:
+                locks.callback(os.close, fd)
+        try:
+            yield
+        except BaseException:
+            for out in out_dirs:
+                with contextlib.suppress(OSError):
+                    for name in os.listdir(out):
+                        if name.endswith(STAGED_SUFFIX) and _is_run_file(name):
+                            with contextlib.suppress(OSError):
+                                os.remove(os.path.join(out, name))
+            raise
 
 
 def save_run(manifest, out_dir, splits=()) -> str:

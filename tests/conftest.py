@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import os
 from pathlib import Path
 
@@ -28,6 +30,27 @@ def subprocess_env(**overrides) -> dict:
 def cpus(monkeypatch, count):
     """Make the commands see `count` usable CPUs until the test ends."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@contextlib.contextmanager
+def writer_lock(path):
+    """Hold the writer lock of the run directory `path` from a descriptor of
+    this process's own, as another `snapens` process writing it would."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+def is_locked(path) -> bool:
+    """Whether some descriptor holds the writer lock of the run directory `path`."""
+    try:
+        with writer_lock(path):
+            return False
+    except BlockingIOError:
+        return True
 
 
 def pytest_configure(config):

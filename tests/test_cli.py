@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cpus
+from conftest import cpus, writer_lock
 from snapens.cli import main
 from snapens.data import load_csv
 from snapens.errors import StorageError
@@ -728,3 +728,23 @@ def test_retrain_places_and_removes_the_run_files_in_order(run_dir, tmp_path, mo
         "remove run.manifest", "snap_001.snap", "snap_002.snap", "loss.csv", "train.csv", "test.csv",
         "run.manifest", "remove snap_003.snap", "remove snap_004.snap",
     ]
+
+
+def test_train_into_a_run_another_writer_holds_exits_4_naming_it_and_trains_nothing(
+    run_dir, tmp_path, monkeypatch, capsys
+):
+    import snapens.cli as cli_mod
+
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    trained = []
+    monkeypatch.setattr(cli_mod, "train", lambda *args: trained.append(args))
+    capsys.readouterr()
+    with writer_lock(run_dir):
+        assert main(["train", str(tmp_path / "exp.cfg")]) == 4
+        # readers take no lock
+        assert main(["ensemble", "--manifest", str(run_dir / "run.manifest"), "--data",
+                     str(run_dir / "test.csv"), "--m", "2", "--out", str(tmp_path / "m2.csv")]) == 0
+    assert capsys.readouterr().err == f"i/o error: run directory {run_dir} is in use by another snapens process\n"
+    assert trained == []
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+

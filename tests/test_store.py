@@ -1,4 +1,6 @@
+import errno
 import io
+import os
 import re
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_locked, writer_lock
 import snapens.store as store_mod
 from snapens.data import gen_two_moons
 from snapens.errors import ConsistencyError, FormatError, StorageError
@@ -337,3 +340,60 @@ def test_save_run_removes_the_temp_names_of_run_files_and_no_other(tmp_path, tin
     save_run(tiny_run[1], out)
     snapshots = [f"snap_00{k}.snap" for k in range(1, 5)]
     assert sorted(p.name for p in out.iterdir()) == sorted(["loss.csv", "run.manifest", *snapshots, *others])
+
+
+def test_staging_holds_each_directory_until_it_ends_and_a_child_exit_keeps_it(tmp_path):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    with store_mod.staging(dirs):
+        assert [is_locked(d) for d in dirs] == [True, True]
+        pid = os.fork()
+        if pid == 0:  # a forked worker that ends as one does: its copy of each descriptor closes
+            os._exit(0)
+        os.waitpid(pid, 0)
+        assert [is_locked(d) for d in dirs] == [True, True]
+    assert [is_locked(d) for d in dirs] == [False, False]
+
+
+def test_staging_that_fails_releases_its_locks(tmp_path):
+    with pytest.raises(RuntimeError, match="boom"), store_mod.staging([tmp_path / "a"]):
+        raise RuntimeError("boom")
+    assert not is_locked(tmp_path / "a")
+
+
+def test_staging_a_directory_another_writer_holds_raises_naming_it(tmp_path):
+    held = tmp_path / "held"
+    held.mkdir()
+    (held / "run.manifest").write_bytes(b"old")
+    with writer_lock(held):
+        message = f"run directory {held} is in use by another snapens process"
+        with pytest.raises(StorageError, match=re.escape(message)), store_mod.staging([tmp_path / "a", held]):
+            pytest.fail("the body ran")
+        assert not is_locked(tmp_path / "a")  # the lock taken before the refusal is released
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "held"]
+    assert [p.name for p in held.iterdir()] == ["run.manifest"]
+
+
+@pytest.mark.parametrize("code", [errno.ENOLCK, errno.EOPNOTSUPP], ids=["ENOLCK", "EOPNOTSUPP"])
+def test_staging_on_a_file_system_without_flock_proceeds_unlocked(tmp_path, monkeypatch, code):
+    import fcntl
+
+    def no_flock(fd, operation):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(fcntl, "flock", no_flock)
+    with store_mod.staging([tmp_path / "a"]):
+        (tmp_path / "a" / "snap_001.snap.staged").write_bytes(b"staged")
+    monkeypatch.undo()
+    assert not is_locked(tmp_path / "a")
+
+
+def test_staging_that_cannot_lock_for_another_reason_raises(tmp_path, monkeypatch):
+    import fcntl
+
+    def failing_flock(fd, operation):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(fcntl, "flock", failing_flock)
+    with pytest.raises(StorageError, match=f"cannot lock run directory {re.escape(str(tmp_path / 'a'))}"):
+        with store_mod.staging([tmp_path / "a"]):
+            pytest.fail("the body ran")

@@ -13,7 +13,7 @@ import pytest
 import snapens.cli as cli_mod
 import snapens.errors as errors_mod
 import snapens.sweep as sweep_mod
-from conftest import cpus, subprocess_env
+from conftest import cpus, subprocess_env, writer_lock
 from snapens.cli import main
 
 CFG = """\
@@ -251,10 +251,10 @@ def test_divergence_in_a_stack_matches_the_unstacked_sweep(tmp_path, monkeypatch
 def test_worker_crash_exits_nonzero_naming_its_config(moons_sweep, tmp_path, monkeypatch, capfd, deadline):
     real_row = cli_mod._sweep_row
 
-    def crash_on_b(path, *rest):
-        if os.path.basename(path) == "b_nocycle.cfg":
+    def crash_on_b(experiment, *rest):
+        if os.path.basename(experiment.path) == "b_nocycle.cfg":
             raise RuntimeError("boom")
-        return real_row(path, *rest)
+        return real_row(experiment, *rest)
 
     cpus(monkeypatch, 2)
     monkeypatch.setattr(cli_mod, "_sweep_row", crash_on_b)
@@ -277,11 +277,11 @@ def test_failed_row_leaves_no_staged_file_of_its_group(tmp_path, monkeypatch, ca
     write_config(config_dir, "b2", "runs/b2", mode="single", seed=2)
     real_row = cli_mod._sweep_row
 
-    def fail_after_saving_b1(path, saved, *rest):
-        if os.path.basename(path) == "b1.cfg":
-            next(saved)  # b1 is saved; b2's snapshot and splits are still staged
+    def fail_after_saving_b1(experiment, *rest):
+        row = real_row(experiment, *rest)
+        if os.path.basename(experiment.path) == "b1.cfg":  # b1 is saved; b2's snapshot and splits are still staged
             raise errors_mod.StorageError("b1: no space left")
-        return real_row(path, saved, *rest)
+        return row
 
     cpus(monkeypatch, count)
     monkeypatch.setattr(cli_mod, "_sweep_row", fail_after_saving_b1)
@@ -289,6 +289,60 @@ def test_failed_row_leaves_no_staged_file_of_its_group(tmp_path, monkeypatch, ca
     assert code == 4 and "b1: no space left" in out.err
     assert (tmp_path / "work" / "runs" / "b1" / "run.manifest").exists()
     assert [p.name for p in (tmp_path / "work").rglob("*.staged*")] == []
+
+
+def test_killed_worker_leaves_no_staged_file(tmp_path, monkeypatch, deadline):
+    import snapens.trainer as trainer_mod
+
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    write_config(config_dir, "a", "runs/a", seed=1)  # two groups: a trains here, b in a forked worker
+    write_config(config_dir, "b", "runs/b", seed=2)
+    parent = os.getpid()
+    real_write = trainer_mod.write_snapshot
+    staged = []
+
+    def killed_after_two(record, path):
+        stored = real_write(record, path)
+        staged.append(path)
+        if os.getpid() != parent and len(staged) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return stored
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(trainer_mod, "write_snapshot", killed_after_two)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", str(config_dir), "--summary", "summary.csv"])
+    assert "b.cfg: sweep worker exited with code -9" in str(exited.value.code)
+    assert [p.name for p in work.rglob("*.staged*")] == []
+    assert (work / "runs" / "a" / "run.manifest").exists()
+    assert list((work / "runs" / "b").iterdir()) == []
+
+
+def test_sweep_with_a_directory_another_writer_holds_exits_4_before_anything_trains(
+    tmp_path, monkeypatch, capsys
+):
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    write_config(config_dir, "a", "runs/a", seed=1)
+    write_config(config_dir, "b", "runs/b", seed=2)
+    work = tmp_path / "work"
+    (work / "runs" / "b").mkdir(parents=True)
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or pytest.fail("a worker forked"))
+    trained = count_train_calls(monkeypatch)
+    cpus(monkeypatch, 2)
+    monkeypatch.chdir(work)
+    with writer_lock(work / "runs" / "b"):
+        assert main(["sweep", str(config_dir), "--summary", "summary.csv"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "i/o error: run directory runs/b is in use by another snapens process\n"
+    assert trained == [] and forks == []
+    assert [p for p in work.rglob("*") if p.is_file()] == []
 
 
 # 4 rows whose label 5, past a 2-class model's range, falls in the test split

@@ -81,6 +81,52 @@ def test_train_routes_every_traced_call_through_the_patched_names(tmp_path, monk
     assert calls["nn.loss_and_grad"] == calls["trainer.sgd_step"] == 8 * 8  # 8 epochs of 8 batches
 
 
+# A 4-config sweep on 200 two-moons rows, (mode, schedule.cycles, seed,
+# alpha0) each: the nocycle and single runs share one trajectory, so one CPU
+# trains three trajectories in one loop of 8 epochs of 4 batches and takes
+# 4 + 2 + 1 + 4 snapshots.
+SWEEP_CFG = """\
+model.layers = 2,16,2
+schedule.alpha0 = {alpha0}
+train.mode = {mode}
+train.epochs = 8
+train.batch_size = 25
+train.seed = {seed}
+data.source = two_moons
+data.params = n=200,noise=0.1,seed=3
+output.dir = {out}
+"""
+SWEEP_CONFIGS = {
+    "a_snapshot": ("snapshot", 4, 11, 0.2),
+    "b_nocycle": ("nocycle", 2, 11, 0.1),
+    "c_single": ("single", None, 11, 0.1),
+    "d_snapshot": ("snapshot", 4, 12, 0.2),
+}
+# Spans that sweep records. `data.save_csv` is left out: a sweep renders its
+# splits through `data.csv_chunks`, not `cli.save_csv`.
+SWEEP_SPANS = {
+    "config.parse_config": 4,
+    "config.build_datasets": 1,
+    "trainer.train": 1,
+    "store.write_snapshot": 11,
+    "nn.loss_and_grad": 32,
+}
+
+
+def test_sweep_routes_every_traced_call_through_the_patched_names(tmp_path, monkeypatch):
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    for name, (mode, cycles, seed, alpha0) in SWEEP_CONFIGS.items():
+        text = SWEEP_CFG.format(alpha0=alpha0, mode=mode, seed=seed, out=tmp_path / "runs" / name)
+        (config_dir / f"{name}.cfg").write_text(text + (f"schedule.cycles = {cycles}\n" if cycles else ""))
+    cpus(monkeypatch, 1)  # every config in this process, which the tracer sees
+    tracer = install_tracer(monkeypatch)
+    argv = ["sweep", str(config_dir), "--summary", str(tmp_path / "summary.csv")]
+    assert tracer.run_command("sweep", lambda: snapens.cli.main(argv)) == 0
+    calls = tracer.command_calls["sweep"]
+    assert {name: calls.get(name) for name in SWEEP_SPANS} == SWEEP_SPANS
+
+
 def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moons200, tmp_path, monkeypatch):
     _, manifest = tiny_run
     assert len(manifest.snapshots) == 4
