@@ -1,9 +1,12 @@
 """Start-up: `import snapens` is lazy, and each subcommand loads only what it runs."""
+import hashlib
 import importlib
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 import snapens
 from conftest import subprocess_env
@@ -37,6 +40,27 @@ data.source = two_moons
 data.params = n=100,noise=0.1,seed=3
 output.dir = {out}
 """
+
+
+# Exit code and blake2b-8 digests of stdout and stderr of `python -m snapens
+# ARGS` at COLUMNS=80: the `--help` texts and usage errors, which come from
+# parsing argv alone. argparse's layout changes between Python versions, so
+# the digests hold for the one they were recorded on (3.11).
+GOLDEN_USAGE = {
+    "--help": (0, "657b36f7b1ee2f09", "e4a6a0577479b2b4"),
+    "gen-data --help": (0, "fcf8d635da0ffaa1", "e4a6a0577479b2b4"),
+    "train --help": (0, "57d953c2830ad933", "e4a6a0577479b2b4"),
+    "ensemble --help": (0, "c06709ec5c14a277", "e4a6a0577479b2b4"),
+    "curve --help": (0, "39e59bd7a81b6752", "e4a6a0577479b2b4"),
+    "interpolate --help": (0, "7ce3dcfa246cd0ea", "e4a6a0577479b2b4"),
+    "correlate --help": (0, "70502491c6389365", "e4a6a0577479b2b4"),
+    "sweep --help": (0, "dd1794df9b794be1", "e4a6a0577479b2b4"),
+    "": (2, "e4a6a0577479b2b4", "20f02f6e03e124d7"),
+    "bogus": (2, "e4a6a0577479b2b4", "e1c0f03257bec849"),
+    "ensemble --no-such-option": (2, "e4a6a0577479b2b4", "8404c700df4b4f16"),
+    # the required --pair / --against-final group is missing
+    "interpolate --manifest m --data d --out o": (2, "e4a6a0577479b2b4", "5f2b90c666519837"),
+}
 
 
 def loaded_modules(tmp_path, argv):
@@ -110,3 +134,11 @@ def test_importing_the_package_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "['snapens']"
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_USAGE))
+def test_help_and_usage_bytes_match_golden(tmp_path, args):
+    proc = subprocess.run([sys.executable, "-m", "snapens", *args.split()], cwd=tmp_path,
+                          env=subprocess_env(COLUMNS="80"), capture_output=True, timeout=60)
+    digests = [hashlib.blake2b(out, digest_size=8).hexdigest() for out in (proc.stdout, proc.stderr)]
+    assert (proc.returncode, *digests) == GOLDEN_USAGE[args], proc.stdout + proc.stderr
