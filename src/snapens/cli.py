@@ -3,22 +3,23 @@
 Subcommands: gen-data, train, ensemble, curve, interpolate, correlate, sweep.
 Exit codes: 0 success, 2 usage/config/input errors, 3 numerical divergence,
 4 I/O and file-format errors. Every emitted CSV carries a header row.
+
+A command line runs in three steps, `parse`, `load` and `run`. Importing this
+module loads no other snapens module but `errors`, and no numpy, so `--help`
+and a usage error, which exit in `parse`, start without them; `load` then
+imports only the modules of the one command that runs.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import os
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
 
-import numpy as np
-
-from .analysis import default_lambda_grid, interpolate, softmax_correlation
-from .data import GENERATORS, load_csv, save_csv
-from .ensemble import ORDERS, ensemble_eval, ensemble_sweep, error_over_time, predict
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -28,23 +29,46 @@ from .errors import (
     StorageError,
     UndefinedCorrelationError,
 )
-from .nn import check_labels, param_count
-from .store import load_run, write_atomically
+
+# The names the commands call from other snapens modules, by home module. A
+# name is bound into this module when first needed: by `load`, for the
+# modules of the command that runs, or by `__getattr__`, for a caller's
+# `cli.NAME`. Neither rebinds a name this module has, so a name a caller has
+# set here (the benchmark tracer patches ten of them) stays the one the
+# commands call.
+_IMPORTS = {
+    "analysis": ("default_lambda_grid", "interpolate", "softmax_correlation"),
+    "config": ("build_datasets", "input_files", "parse_config", "resolve_train_config"),
+    "data": ("GENERATORS", "load_csv", "save_csv"),
+    "ensemble": ("ORDERS", "ensemble_eval", "ensemble_sweep", "error_over_time", "predict"),
+    "nn": ("check_labels", "param_count"),
+    "pool": ("run_shares", "worker_count"),
+    "store": ("SPLIT_NAMES", "load_run", "save_run", "staged_path", "staging", "write_atomically"),
+    "sweep": ("group_experiments", "stack_groups", "sweep_configs"),
+    "trainer": ("check_step_fits", "train_stack"),
+}
+_HOME = {name: module for module, names in _IMPORTS.items() for name in names}
 
 
-# `config` and `trainer` load on first use, so only `train` and `sweep` import
-# them. The benchmark tracer patches these three names on this module, so the
-# commands call them through it.
-def parse_config(path):
-    from .config import parse_config
+def _bind(*modules):
+    """Import `modules` and bind each of their `_IMPORTS` names that this module lacks."""
+    namespace = globals()
+    for module in modules:
+        home = importlib.import_module(f"{__package__}.{module}")
+        for name in _IMPORTS[module]:
+            namespace.setdefault(name, getattr(home, name))
 
-    return parse_config(path)
+
+def __getattr__(name):
+    """`cli.NAME` for a name of `_IMPORTS` not bound yet: bind it, with its module's other names."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
 
 
-def build_datasets(cfg):
-    from .config import build_datasets
-
-    return build_datasets(cfg)
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
 
 
 def train(config, train_set, others=(), out_dirs=None, stack=()):
@@ -53,8 +77,6 @@ def train(config, train_set, others=(), out_dirs=None, stack=()):
     out_dirs) triple: `trainer.train_stack`'s result, `config`'s group first.
     With `out_dirs`, one per config, each run stages its snapshots in its
     directory as it takes them."""
-    from .trainer import train_stack
-
     return train_stack([([config, *others], train_set, out_dirs), *stack])
 
 
@@ -95,10 +117,9 @@ def load_experiment(path, cfg, built):
     failure names the config file: the data.params values, whether the data
     files can be read (exit 4), whether the cycles or snapshots fit T, and
     the feature count and the labels of both splits against the model
-    (naming the data file too).
+    (naming the data file too), and whether this process can allocate a
+    training step of the model.
     """
-    from .config import input_files, resolve_train_config
-
     key = (cfg.data_source, tuple(sorted(cfg.data_params.items())))
     try:
         if key not in built:
@@ -115,6 +136,7 @@ def load_experiment(path, cfg, built):
                 check_labels(config.model, split.labels)
         except InputError as exc:
             raise ConfigError(": ".join([*files[-1:], str(exc)])) from None
+        check_step_fits(config)
     except (ConfigError, InputError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except (FormatError, OSError) as exc:
@@ -138,9 +160,6 @@ def _run_stack(stack, write_split, workers=1):
     error its writer met. A group that failed has its error as the outcome
     of each of its experiments, and so do the groups the loop ended after it.
     """
-    from .pool import run_shares
-    from .store import SPLIT_NAMES, staged_path
-
     members = sorted((e for group in stack for e in group), key=lambda e: e.path)
     groups = [([e.config for e in group], group[0].train_set, [e.out_dir for e in group]) for group in stack]
     (configs, train_set, out_dirs), *later = groups
@@ -169,8 +188,6 @@ def _run_stack(stack, write_split, workers=1):
 def _save(experiment, outcome):
     """Save `experiment`'s run directory from its `_run_stack` outcome, or
     raise the error that outcome holds; return the saved manifest's path."""
-    from .store import save_run
-
     if isinstance(outcome, BaseException):
         raise outcome
     manifest, splits = outcome
@@ -180,9 +197,8 @@ def _save(experiment, outcome):
 def _split_writer(experiments):
     """A `write_split` for `_run_stack` calls that write the splits of
     `experiments` in one process: each distinct split (one built object) is
-    rendered once, and its bytes are dropped after its last write."""
-    from collections import Counter
-
+    rendered once, and its bytes are dropped after its last write.
+    It reads `data.csv_chunks` from its module at each call, not from this one."""
     from .data import csv_chunks
 
     left = Counter(id(split) for e in experiments for split in (e.train_set, e.test_set))
@@ -199,9 +215,6 @@ def _split_writer(experiments):
 
 
 def cmd_train(args) -> int:
-    from .pool import worker_count
-    from .store import staging
-
     experiment = load_experiment(args.config, parse_config(args.config), {})
     with staging([experiment.out_dir]):
         outcome = _run_stack([[experiment]], save_csv, worker_count(2))[experiment.path]
@@ -313,7 +326,7 @@ def _split_curves(records, dataset, pairs, grid, paths, workers):
     (len(grid) - 1) % workers every lambda = 1 point, so each snapshot is
     still scored once. An error stops the curves at the first pair it hit,
     as in a serial run."""
-    from .pool import run_shares
+    import numpy as np
 
     parts = {path: [] for path in paths}
     shares = [
@@ -347,8 +360,7 @@ def cmd_interpolate(args) -> int:
     paths = [os.path.join(args.out, f"interp_{i:03d}_{j:03d}.csv") for i, j in pairs]
     workers = 1
     if len(pairs) * len(grid) * len(dataset) * param_count(records[0].spec) > FORK_MIN_WORK:
-        from .pool import worker_count
-
+        _bind("pool")  # only a split grid forks
         workers = worker_count(len(grid))
     if workers > 1:
         _split_curves(records, dataset, pairs, grid, paths, workers)
@@ -400,11 +412,6 @@ def _sweep_row(experiment, run_stack, trained):
 
 
 def cmd_sweep(args) -> int:
-    # only this command, `train` and a large `interpolate` compile the worker code
-    from .pool import run_shares, worker_count
-    from .store import staging
-    from .sweep import group_experiments, stack_groups, sweep_configs
-
     configs = sweep_configs(args.config_dir, parse_config)
     built = {}  # each distinct split, held for the whole sweep
     experiments = [load_experiment(path, cfg, built) for path, cfg in configs]
@@ -444,72 +451,97 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its function, its help line and the home modules of the
+# names it calls. Only `sweep`, `train` and a split `interpolate` load the
+# worker code in `pool`, and only `sweep` and `train` the training modules.
+_COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate a synthetic dataset CSV", ("data",)),
+    "train": (cmd_train, "run one training config into its output directory",
+              ("config", "data", "nn", "pool", "store", "trainer")),
+    "ensemble": (cmd_ensemble, "ensemble error for one m or a sweep over m",
+                 ("data", "ensemble", "nn", "store")),
+    "curve": (cmd_curve, "single vs growing-ensemble error over snapshots",
+              ("data", "ensemble", "nn", "store")),
+    "interpolate": (cmd_interpolate, "test error along lines between snapshots",
+                    ("analysis", "data", "nn", "store")),
+    "correlate": (cmd_correlate, "pairwise softmax correlation between snapshots",
+                  ("analysis", "data", "ensemble", "nn", "store")),
+    "sweep": (cmd_sweep, "run every .cfg in a directory and join the results",
+              ("config", "data", "ensemble", "nn", "pool", "store", "sweep", "trainer")),
+}
+
+
+def _add_arguments(p, command):
+    """Add the arguments of `command` to its parser `p`."""
+    if command in ("ensemble", "curve", "interpolate", "correlate"):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--data", required=True, help="evaluation dataset CSV")
+    if command == "gen-data":
+        _bind("data")
+        p.add_argument("--source", required=True, choices=tuple(GENERATORS))
+        p.add_argument("--out", required=True)
+        p.add_argument("--n", type=int, default=1000)
+        p.add_argument("--noise", type=float, default=0.1)
+        p.add_argument("--turns", type=float, default=2.0, help="spiral revolutions")
+        p.add_argument("--classes", type=int, default=3, help="blob cluster count")
+        p.add_argument("--spread", type=float, default=0.5, help="blob cluster sigma")
+        p.add_argument("--seed", type=int, default=0)
+    elif command == "train":
+        p.add_argument("config")
+    elif command == "ensemble":
+        _bind("ensemble")
+        p.add_argument("--m", type=int, default=None)
+        p.add_argument("--order", choices=ORDERS, default="latest")
+        p.add_argument("--out", default=None, help="output CSV (default: stdout)")
+    elif command == "curve":
+        p.add_argument("--out", default=None)
+    elif command == "interpolate":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
+        group.add_argument("--against-final", action="store_true")
+        p.add_argument("--points", type=int, default=51)
+        p.add_argument("--out", required=True, help="output directory for curve CSVs")
+    elif command == "correlate":
+        p.add_argument("--out", required=True, help="output directory")
+    elif command == "sweep":
+        p.add_argument("config_dir")
+        p.add_argument("--summary", default="summary.csv")
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`. The top-level parser names
+    every command, but only the command `argv` names gets its arguments:
+    parsing `argv` reads no other command's parser, so `--help` and every
+    usage error read as they would with all of them built."""
     parser = argparse.ArgumentParser(
         prog="snapens",
         description="Train small dense nets with cyclic cosine restarts and ensemble the cycle-end snapshots.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--source", required=True, choices=tuple(GENERATORS))
-    p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--turns", type=float, default=2.0, help="spiral revolutions")
-    p.add_argument("--classes", type=int, default=3, help="blob cluster count")
-    p.add_argument("--spread", type=float, default=0.5, help="blob cluster sigma")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="run one training config into its output directory")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_train)
-
-    eval_inputs = argparse.ArgumentParser(add_help=False)
-    eval_inputs.add_argument("--manifest", required=True)
-    eval_inputs.add_argument("--data", required=True, help="evaluation dataset CSV")
-
-    p = sub.add_parser(
-        "ensemble", parents=[eval_inputs], help="ensemble error for one m or a sweep over m"
-    )
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--order", choices=ORDERS, default="latest")
-    p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser(
-        "curve", parents=[eval_inputs], help="single vs growing-ensemble error over snapshots"
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser(
-        "interpolate", parents=[eval_inputs], help="test error along lines between snapshots"
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
-    group.add_argument("--against-final", action="store_true")
-    p.add_argument("--points", type=int, default=51)
-    p.add_argument("--out", required=True, help="output directory for curve CSVs")
-    p.set_defaults(func=cmd_interpolate)
-
-    p = sub.add_parser(
-        "correlate", parents=[eval_inputs], help="pairwise softmax correlation between snapshots"
-    )
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("sweep", help="run every .cfg in a directory and join the results")
-    p.add_argument("config_dir")
-    p.add_argument("--summary", default="summary.csv")
-    p.set_defaults(func=cmd_sweep)
-
+    chosen = next((arg for arg in argv if arg in _COMMANDS), None)
+    for command, (func, help_line, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.set_defaults(func=func)
+        if command == chosen:
+            _add_arguments(p, command)
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def parse(argv=None) -> argparse.Namespace:
+    """The parsed command line `argv` (default `sys.argv[1:]`). `--help` and
+    a usage error exit here, through SystemExit."""
+    argv = sys.argv[1:] if argv is None else argv
+    return build_parser(argv).parse_args(argv)
+
+
+def load(command):
+    """Bind the names `command` calls from other snapens modules."""
+    _bind(*_COMMANDS[command][2])
+
+
+def run(args) -> int:
+    """Run the parsed command `args` and return its exit code: each error
+    this package raises maps to 2, 3 or 4 with its message on stderr."""
     try:
         return args.func(args)
     except (ConfigError, InputError, UndefinedCorrelationError) as exc:
@@ -522,3 +554,11 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 
+
+def main(argv=None) -> int:
+    """Run the command line `argv` (default `sys.argv[1:]`): `parse`, `load`
+    and `run`. It changes no process-wide setting; `snapens.process.entry`
+    runs the same steps with the process's settings between them."""
+    args = parse(argv)
+    load(args.command)
+    return run(args)

@@ -192,6 +192,21 @@ def step_bytes(config: TrainConfig) -> int:
     return 8 * (3 * param_count(config.model) + config.batch_size * sum(config.model.layer_sizes[1:]))
 
 
+def check_step_fits(config: TrainConfig) -> None:
+    """Raise ConfigError, naming model.layers, when this process cannot
+    allocate the `step_bytes` of `config`. The request writes no memory, and
+    one the kernel cannot grant fails at once, so a command can check this
+    before it locks or stages anything."""
+    size = step_bytes(config)
+    try:
+        np.empty(size, dtype=np.uint8)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        sizes = ",".join(map(str, config.model.layer_sizes))
+        raise ConfigError(
+            f"model.layers: {sizes} needs {size} bytes per training step, more than this process can allocate"
+        ) from None
+
+
 def trajectory_key(config: TrainConfig) -> str:
     """What steers the SGD steps of `config`: every field but `snapshot_count`,
     with `mode` reduced to whether each cycle re-initialises the parameters.

@@ -148,3 +148,22 @@ def test_unreadable_data_file_exits_4_naming_the_config(
     (tmp_path / "hdr.csv").write_text("f0,f1,label\n")
     text = config_text("runs/b", source="csv", params=params)
     assert run(command, tmp_path, monkeypatch, capsys, text) == (4, f"i/o error: {{cfg}}: {message}\n")
+
+
+# Nets whose training step no process can allocate: the step of the first
+# needs 24 EB, and that of the second more bytes than an array can index.
+# The kernel refuses each request at once, so nothing is touched.
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("layers, size", [
+    ("2,1000000000,1000000000,2", 24000000224000000128),
+    ("2,4000000000,4000000000,2", 384000000896000000128),
+])
+def test_unallocatable_model_layers_exits_2_before_anything_is_staged(
+    tmp_path, monkeypatch, capsys, command, layers, size
+):
+    text = config_text("runs/b", layers=layers)
+    assert run(command, tmp_path, monkeypatch, capsys, text) == (
+        2,
+        f"config error: {{cfg}}: model.layers: {layers} needs {size} bytes per training step, "
+        "more than this process can allocate\n",
+    )

@@ -27,6 +27,18 @@ atexit.register(report)
 sys.argv = ["snapens"] + sys.argv[2:]
 runpy.run_module("snapens", run_name="__main__", alter_sys=True)
 """
+# A second probe, run before PROBE: at exit, it writes whether numpy was
+# loaded to the file named first, with `.numpy` appended.
+NUMPY_PROBE = """
+import atexit, sys
+def report_numpy(path=sys.argv[1] + ".numpy"):
+    with open(path, "w") as fh:
+        fh.write(str("numpy" in sys.modules))
+atexit.register(report_numpy)
+"""
+# What `snapens --help` and a usage error may load; `snapens.__main__` runs
+# as `__main__`.
+PARSE_ONLY = {"snapens", "snapens.__main__", "snapens.process", "snapens.cli", "snapens.errors"}
 
 MOONS_CFG = """\
 model.layers = 2,16,2
@@ -63,14 +75,20 @@ GOLDEN_USAGE = {
 }
 
 
-def loaded_modules(tmp_path, argv):
+def probe(tmp_path, argv, code=0):
+    """The snapens modules `python -m snapens ARGV` loaded, which must exit
+    with `code`, and whether it loaded numpy."""
     report = tmp_path / "modules.txt"
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(report), *argv],
+        [sys.executable, "-c", NUMPY_PROBE + PROBE, str(report), *argv],
         cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return set(report.read_text().split())
+    assert proc.returncode == code, proc.stderr
+    return set(report.read_text().split()), (tmp_path / "modules.txt.numpy").read_text() == "True"
+
+
+def loaded_modules(tmp_path, argv):
+    return probe(tmp_path, argv)[0]
 
 
 def test_every_public_name_resolves_to_its_home_module():
@@ -81,6 +99,15 @@ def test_every_public_name_resolves_to_its_home_module():
         assert getattr(home, name) is value, name
     assert set(snapens.__all__) <= set(dir(snapens))
     assert not hasattr(snapens, "no_such_name")  # an AttributeError, as without the lazy lookup
+
+
+def test_every_cli_name_resolves_to_its_home_module():
+    import snapens.cli as cli
+
+    for name, module in cli._HOME.items():
+        assert getattr(cli, name) is getattr(importlib.import_module(f"snapens.{module}"), name), name
+        assert name in dir(cli), name
+    assert not hasattr(cli, "no_such_name")
 
 
 def test_star_import_binds_every_public_name():
@@ -118,6 +145,8 @@ def test_eval_commands_leave_the_training_modules_out(tiny_run, moons200, tmp_pa
         loaded = loaded_modules(tmp_path, argv)
         assert "snapens.cli" in loaded, label
         assert loaded & (TRAINING_MODULES | {"snapens.sweep", "snapens.pool"}) == set(), label
+        if label in ("ensemble", "curve"):
+            assert "snapens.analysis" not in loaded, label
 
 
 def test_train_loads_the_training_modules(tmp_path):
@@ -126,7 +155,22 @@ def test_train_loads_the_training_modules(tmp_path):
     loaded = loaded_modules(tmp_path, ["train", str(cfg)])
     assert TRAINING_MODULES <= loaded
     assert "snapens.sweep" not in loaded
+    assert loaded & {"snapens.ensemble", "snapens.analysis"} == set()
     assert (tmp_path / "run" / "run.manifest").exists()
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), ([], 2), (["bogus"], 2)])
+def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
+    loaded, numpy_loaded = probe(tmp_path, argv, code)
+    assert not numpy_loaded
+    assert loaded <= PARSE_ONLY
+
+
+def test_importing_the_cli_loads_no_numpy():
+    code = "import sys, snapens.cli; print('numpy' in sys.modules, 'snapens.errors' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_importing_the_package_loads_no_submodule():
