@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from snapens import ModelSpec, ScheduleSpec, TrainConfig, gen_two_moons, iterations_for, train
+from snapens.data import _load_csv_rows, load_csv
+from snapens.errors import SnapensError
 from snapens.process import set_blas_threads
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -51,6 +53,23 @@ def is_locked(path) -> bool:
             return False
     except BlockingIOError:
         return True
+
+
+def assert_reads_as_csv_reader(path, label_column="label"):
+    """`load_csv` gives what the `csv.reader` path gives for `path`: the same
+    inputs bit for bit, labels and class count, or the same error message."""
+    try:
+        expected = _load_csv_rows(path, label_column)
+    except SnapensError as exc:
+        with pytest.raises(type(exc)) as raised:
+            load_csv(path, label_column)
+        assert str(raised.value) == str(exc)
+        return
+    got = load_csv(path, label_column)
+    assert got.inputs.tobytes() == expected.inputs.tobytes()
+    assert got.inputs.shape == expected.inputs.shape
+    assert got.labels.tobytes() == expected.labels.tobytes()
+    assert got.class_count == expected.class_count
 
 
 def pytest_configure(config):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_reads_as_csv_reader
 from oracles import write_idx_pair
-from snapens.data import gen_two_moons, load_csv, load_idx, save_csv
+from snapens.data import Dataset, gen_two_moons, load_csv, load_idx, save_csv
 from snapens.errors import SnapensError
 from snapens.nn import ModelSpec, param_count
 from snapens.store import ManifestFile, SnapshotRecord, load_run, read_snapshot, write_manifest, write_snapshot
@@ -32,6 +33,9 @@ def valid(tmp_path_factory):
     write_manifest(ManifestFile(bytes(range(16)), ("snap_001.snap", "snap_002.snap")),
                    base / "run.manifest")
     save_csv(gen_two_moons(6, 0.1, seed=0), base / "data.csv")
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(0, 256, (3, 784)) * (rng.random((3, 784)) < 0.4) / 255.0
+    save_csv(Dataset(pixels, np.array([0, 2, 1]), 3), base / "pixels.csv")
     images = np.arange(3 * 2 * 2, dtype=np.uint8).reshape(3, 2, 2)
     write_idx_pair(base / "im.idx", base / "lb.idx", images, np.array([0, 1, 2], np.uint8))
     return base, {p.name: p.read_bytes() for p in base.iterdir()}
@@ -71,6 +75,16 @@ def test_corrupted_manifest(valid, data):
 def test_corrupted_csv(valid, data):
     base, files = valid
     read_corrupted(load_csv, base / "fuzz.csv", corrupt(files["data.csv"], data))
+
+
+@FUZZ
+@given(data=st.data())
+def test_corrupted_pixel_csv_reads_as_csv_reader(valid, data):
+    # 784 columns, mostly repeated texts: the byte reader's case
+    base, files = valid
+    path = base / "fuzz.csv"
+    path.write_bytes(corrupt(files["pixels.csv"], data))
+    assert_reads_as_csv_reader(path)
 
 
 @FUZZ
