@@ -66,6 +66,26 @@ class Dataset:
         return self.inputs.shape[0]
 
 
+def can_allocate(size: int) -> bool:
+    """Whether this process can allocate `size` bytes. The request writes no
+    memory, and one the kernel cannot grant fails at once, so a command can
+    check a size before it makes anything."""
+    try:
+        np.empty(size, dtype=np.uint8)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+        return False
+    return True
+
+
+def _check_rows_fit(n: int) -> None:
+    """Raise InputError, naming n, when this process cannot allocate the
+    inputs and labels of n generated rows: two float64 features and an
+    int64 label each."""
+    size = 24 * n
+    if not can_allocate(size):
+        raise InputError(f"n={n} needs {size} bytes, more than this process can allocate")
+
+
 def _rng(seed: int, name: str) -> np.random.Generator:
     """numpy's generator for a seed, which must be a non-negative integer."""
     if seed < 0:
@@ -85,6 +105,7 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
         raise InputError("noise_sigma must be >= 0")
     half = n // 2
     rng = _rng(seed, "seed")
+    _check_rows_fit(n)
     phi_upper = rng.uniform(0.0, math.pi, half)
     phi_lower = rng.uniform(0.0, math.pi, half)
     upper = np.column_stack([np.cos(phi_upper), np.sin(phi_upper)])
@@ -110,6 +131,7 @@ def gen_spirals(n: int, turns: float, noise_sigma: float, seed: int) -> Dataset:
         raise InputError("noise_sigma must be >= 0")
     half = n // 2
     rng = _rng(seed, "seed")
+    _check_rows_fit(n)
     sweep = 2.0 * math.pi * turns
 
     def arm(count):
@@ -133,6 +155,7 @@ def gen_blobs(n: int, class_count: int, spread: float, seed: int) -> Dataset:
     if spread < 0:
         raise InputError("spread must be >= 0")
     rng = _rng(seed, "seed")
+    _check_rows_fit(n)
     centers = rng.uniform(-4.0, 4.0, (class_count, 2))
     base, extra = divmod(n, class_count)
     counts = [base + (1 if k < extra else 0) for k in range(class_count)]

@@ -84,19 +84,22 @@ def _check_length(spec: ModelSpec, length: int) -> None:
         raise InputError(f"parameter vector has length {length}, spec needs {param_count(spec)}")
 
 
-def layer_views(spec: ModelSpec, params: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat vector into (W, b) views per layer, without copying."""
+def layer_views(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a flat vector, or a (K, P) stack of K of them, into (W, b) views
+    per layer, without copying: W is (n_in, n_out) and b (n_out,), each with
+    a leading K axis for a stack."""
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1:
-        raise InputError("a parameter vector must be 1-d")
-    _check_length(spec, params.size)
+    if params.ndim not in (1, 2):
+        raise InputError("parameters must be a flat vector or a (K, P) stack of them")
+    _check_length(spec, params.shape[-1])
+    runs = params.shape[:-1]
     views = []
     offset = 0
     sizes = spec.layer_sizes
     for n_in, n_out in zip(sizes, sizes[1:]):
-        w = params[offset : offset + n_in * n_out].reshape(n_in, n_out)
+        w = params[..., offset : offset + n_in * n_out].reshape(*runs, n_in, n_out, copy=False)
         offset += n_in * n_out
-        b = params[offset : offset + n_out]
+        b = params[..., offset : offset + n_out]
         offset += n_out
         views.append((w, b))
     return views
@@ -115,35 +118,15 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return values
 
 
-def _stacked_views(spec: ModelSpec, stack: np.ndarray, bias_rows: bool) -> list:
-    """Split a (K, P) stack of flat vectors into (W, b) views per layer,
-    without copying: W is (K, n_in, n_out) and b is (K, 1, n_out) with
-    `bias_rows` (to add to a stack of activations), else (K, n_out). A stack
-    of one gets the `layer_views` of its one vector, so a lone run steps on
-    its own matrices."""
-    if stack.shape[0] == 1:
-        return layer_views(spec, stack[0])
-    views = []
-    offset = 0
-    sizes = spec.layer_sizes
-    for n_in, n_out in zip(sizes, sizes[1:]):
-        w = stack[:, offset : offset + n_in * n_out].reshape(len(stack), n_in, n_out, copy=False)
-        offset += n_in * n_out
-        b = stack[:, offset : offset + n_out]
-        b = b.reshape(len(stack), 1, n_out, copy=False) if bias_rows else b
-        offset += n_out
-        views.append((w, b))
-    return views
-
-
 class Workspace:
     """Param and grad arrays with their per-layer (W, b) views, built once.
 
     A training run owns one workspace: it updates `params` in place and passes
     the workspace to `loss_and_grad`, which then writes the gradient into
     `grad` through the prebuilt views instead of allocating and re-slicing
-    two arrays on every step. With `runs` = None the arrays are flat vectors;
-    with runs = K they are (K, P) stacks, one row per run of a stacked step.
+    two arrays on every step. With `runs` = None the arrays are flat vectors,
+    viewed as a stack of one; with runs = K they are (K, P) stacks, one row
+    per run of a stacked step.
     """
 
     def __init__(self, spec: ModelSpec, runs: int | None = None):
@@ -154,8 +137,8 @@ class Workspace:
         self.spec = spec
         self.params = params
         self.grad = grad
-        self.layers = _stacked_views(spec, params.reshape(-1, params.shape[-1]), True)
-        self.grad_layers = _stacked_views(spec, grad.reshape(-1, grad.shape[-1]), False)
+        self.layers = layer_views(spec, params.reshape(-1, params.shape[-1]))
+        self.grad_layers = layer_views(spec, grad.reshape(-1, grad.shape[-1]))
 
     def head(self, runs: int) -> "Workspace":
         """A workspace over the first `runs` rows of this stack, sharing their memory."""
@@ -178,18 +161,18 @@ def _check_features(layers, inputs) -> None:
 def _layer_loop(layers, inputs, dropped, block):
     """Logits and the hidden-layer buffers of one pass over `inputs`.
 
-    `layers` are the (W, b) views of one run (`layer_views`), with `inputs`
-    (n x d), or of a stack of K runs (`_stacked_views`), with `inputs`
-    (K x n x d). Each layer is one `np.matmul`, which makes one BLAS call per
-    run at that run's shapes, so a stacked run gets the bytes it gets alone.
-    `dropped` lists (index, seed, keep) for each run that drops units: its
-    index in the stack (`...` for one run), the seed of its masks and its
-    keep rate. Rows go through in blocks of `block`, the last one shorter.
-    Each hidden layer writes into one block-sized buffer, allocated once per
-    call and reused by every block; after a single-block pass the buffers
-    hold every row's activations, relu(z) * mask / keep. With dropout,
-    callers pass a block that covers the whole batch, so the masks for a
-    seed are the same in training and in `forward`.
+    `layers` are the `layer_views` of one flat vector, with `inputs` (n x d),
+    or of a stack of K runs, with `inputs` (K x n x d). Each layer is one
+    `np.matmul`, which makes one BLAS call per run at that run's shapes, so
+    a stacked run gets the bytes it gets alone. `dropped` lists (index, seed,
+    keep) for each run that drops units: its index in the stack (`...` for
+    a flat vector), the seed of its masks and its keep rate. Rows go through
+    in blocks of `block`, the last one shorter. Each hidden layer writes into
+    one block-sized buffer, allocated once per call and reused by every
+    block; after a single-block pass the buffers hold every row's
+    activations, relu(z) * mask / keep. With dropout, callers pass a block
+    that covers the whole batch, so the masks for a seed are the same in
+    training and in `forward`.
     """
     _check_features(layers, inputs)
     n = inputs.shape[-2]
@@ -207,7 +190,7 @@ def _layer_loop(layers, inputs, dropped, block):
             else:
                 z = logits if whole else logits[..., start:stop, :]
             np.matmul(a, w, out=z)
-            z += b
+            z += b[..., None, :]
             if i < len(hidden):
                 np.maximum(z, 0.0, out=z)
                 for k, rng, keep in masks:
@@ -266,42 +249,38 @@ def loss_and_grad(
     sequence of K ModelSpecs (dropout rates may differ), `params` a (K, P)
     array (with a workspace, that of `Workspace(spec, K)`), `batch` a stack
     of K batches and `dropout_seed` a sequence of K seeds. It returns the K
-    losses as a list of floats and the (K, P) gradient, and each run's loss
-    and gradient have the bytes of its own unstacked call.
+    losses as a list of floats and the (K, P) gradient. A lone call runs as
+    a stack of one, so each run's loss and gradient have the same bytes in
+    either form.
     """
     _check_mode(mode)
-    stacked = not isinstance(spec, ModelSpec)
-    specs, seeds = (spec, dropout_seed) if stacked else ((spec,), (dropout_seed,))
+    lone = isinstance(spec, ModelSpec)
+    specs, seeds = ((spec,), (dropout_seed,)) if lone else (spec, dropout_seed)
     if workspace is None:
         params = np.asarray(params, dtype=np.float64)
-        _check_length(specs[0], params.shape[-1])
         grad = np.zeros_like(params)
-        layers = _stacked_views(specs[0], params.reshape(-1, params.shape[-1]), True)
-        grad_layers = _stacked_views(specs[0], grad.reshape(-1, grad.shape[-1]), False)
+        layers, grad_layers = (layer_views(specs[0], p[None] if lone else p) for p in (params, grad))
     elif params is workspace.params:
         layers, grad, grad_layers = workspace.layers, workspace.grad, workspace.grad_layers
     else:
         raise InputError("with a workspace, params must be the workspace's own vector")
-    if stacked and (
-        not len(specs) == len(seeds) == len(params)
-        or len(specs) > 1 and any(s.layer_sizes != specs[0].layer_sizes for s in specs)
+    inputs, labels = (batch.inputs[None], batch.labels[None]) if lone else (batch.inputs, batch.labels)
+    runs, w = len(specs), layers[0][0]
+    if not (w.ndim == inputs.ndim == 3 and runs == len(seeds) == len(w) == len(inputs)) or any(
+        s.layer_sizes != specs[0].layer_sizes for s in specs
     ):
-        raise InputError("a stacked call needs one spec of one layer shape and one dropout seed per run")
-    inputs, labels = batch.inputs, batch.labels
-    one = inputs.ndim > layers[0][0].ndim  # a stack of one steps on its run's own arrays
-    if one:
-        inputs, labels = inputs[0], labels[0]
+        raise InputError("a stacked call needs one spec of one layer shape, one dropout seed, "
+                         "one parameter row and one batch per run")
     dropped = [
-        (k if inputs.ndim == 3 else ..., seed, 1.0 - s.dropout_rate)
+        (k, seed, 1.0 - s.dropout_rate)
         for k, (s, seed) in enumerate(zip(specs, seeds))
         if s.dropout_rate > 0.0
     ] if mode == "train" else []
     n = inputs.shape[-2]
     logits, hidden = _layer_loop(layers, inputs, dropped, max(n, 1))
     activations = [inputs, *hidden]
-    # each row's logit of its label: (row, label) pairs, or (run, row, label)
-    rows = np.arange(n)
-    picked = (rows, labels) if labels.ndim == 1 else (np.arange(len(labels))[:, None], rows, labels)
+    # each row's logit of its label, as (run, row, label) triples
+    picked = (np.arange(runs)[:, None], np.arange(n), labels)
     logits -= logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits)
     expsum = exp.sum(axis=-1, keepdims=True)
@@ -321,9 +300,7 @@ def loss_and_grad(
             delta *= activations[i] > 0.0  # a unit that is off or dropped passes none
             for k, _, keep in dropped:
                 delta[k] /= keep
-    if not stacked:
-        return float(losses), grad
-    return ([float(losses)] if one else losses.tolist()), grad
+    return (float(losses[0]) if lone else losses.tolist()), grad
 
 
 def check_labels(spec: ModelSpec, labels) -> np.ndarray:

@@ -11,10 +11,11 @@ All randomness (init, epoch shuffles, dropout masks, re-init seeds) derives
 from the config seed through tagged streams, so identical config + data give
 bit-identical results. Configs that differ only in where they snapshot (one
 `trajectory_key`, e.g. single and nocycle) take the same steps, so
-`train_group` runs them in one loop. `train_stack` runs several such
-trajectories of one layer shape and budget in one loop, each step one
-stacked `loss_and_grad` and one `sgd_step` over (K, P) arrays, and gives each
-run the bytes it gets alone; `train` is a stack of one.
+`train_stack` runs them as one trajectory. It runs several trajectories of
+one layer shape and budget in one loop, each step one stacked
+`loss_and_grad` and one `sgd_step` over (K, P) arrays, one row per
+trajectory, and gives each run the bytes it gets alone. Every run goes
+through it: `train` is a stack of one.
 
 Given run directories, the loop writes each snapshot from the live parameter
 vector to the staged path `store.staged_path` names as it captures it, so a
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, can_allocate
 from .errors import ConfigError, DivergenceError, InputError, SnapensError
 from .nn import (
     Batch,
@@ -194,13 +195,10 @@ def step_bytes(config: TrainConfig) -> int:
 
 def check_step_fits(config: TrainConfig) -> None:
     """Raise ConfigError, naming model.layers, when this process cannot
-    allocate the `step_bytes` of `config`. The request writes no memory, and
-    one the kernel cannot grant fails at once, so a command can check this
-    before it locks or stages anything."""
+    allocate the `step_bytes` of `config` (see `data.can_allocate`), so a
+    command can check this before it locks or stages anything."""
     size = step_bytes(config)
-    try:
-        np.empty(size, dtype=np.uint8)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an array can index
+    if not can_allocate(size):
         sizes = ",".join(map(str, config.model.layer_sizes))
         raise ConfigError(
             f"model.layers: {sizes} needs {size} bytes per training step, more than this process can allocate"
@@ -231,29 +229,10 @@ def snapshot_iterations(config: TrainConfig) -> tuple[int, ...]:
 
 def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
     """Run SGD per the config and return the snapshots and loss history."""
-    return train_group([config], train_data)[0]
-
-
-def train_group(
-    configs: list[TrainConfig], train_data: Dataset, out_dirs=None
-) -> list[RunManifest]:
-    """Run the SGD steps of configs that share one `trajectory_key` once, and
-    return each config's run, in order.
-
-    The loop captures the parameters at the union of the configs' snapshot
-    iterations. Each run gets its own records, numbered from 1, with its own
-    config digest, and the one loss history, so each equals the run `train`
-    returns for its config alone. Without `out_dirs` a record holds a copy of
-    the parameters, shared by the runs that capture at that iteration. With
-    `out_dirs`, one existing directory per config (see `store.staging`),
-    each capture writes the live parameters to the staged path of that
-    snapshot in the config's directory and the run holds `StoredSnapshot`s
-    of those files, for `store.save_run` to place.
-    """
-    (result,) = train_stack([(configs, train_data, out_dirs)])
+    (result,) = train_stack([([config], train_data, None)])
     if isinstance(result, BaseException):
         raise result
-    return result
+    return result[0]
 
 
 class _Trajectory:
@@ -313,14 +292,21 @@ class _Trajectory:
 def train_stack(groups) -> list:
     """Run several SGD trajectories in one loop, one step of each per pass.
 
-    `groups` lists (configs, train_data, out_dirs) triples, each the
-    arguments of one `train_group` call. Every group must have the same
-    layer sizes, batch size, split length and epochs. Parameters, velocity
-    and gradient are (K, P) arrays, one row per group, and each step makes
-    one stacked `loss_and_grad` call and one `sgd_step` call; each row keeps
+    `groups` lists (configs, train_data, out_dirs) triples. The configs of a
+    group share one `trajectory_key`, so they take one trajectory's steps,
+    and each gets its own run: the records of its own snapshot iterations,
+    numbered from 1, and the group's loss history. Without `out_dirs` a
+    record holds a copy of the parameters; with one existing directory per
+    config (see `store.staging`), each capture writes them to the staged
+    path of that snapshot, for `store.save_run` to place.
+
+    Every group must have the same layer sizes, batch size, split length and
+    epochs. Parameters, velocity and gradient are (K, P) arrays, one row per
+    group, and each step makes one stacked `loss_and_grad` call and one
+    `sgd_step` call; each row gathers its batch from its own split and keeps
     its own shuffles, learning rates, momentum, weight decay, dropout masks,
-    re-initialisations and captures, so each run has the bytes
-    `train_group` gives it alone.
+    re-initialisations and captures, so each run has the bytes it gets in a
+    stack of one.
 
     A group whose loss turns non-finite, or whose snapshot cannot be
     written, ends with that error, and so do the groups after it, while the
@@ -345,7 +331,6 @@ def train_stack(groups) -> list:
             reinits.setdefault(t, []).append((k, cycle))
         for t in run.snapshot_at:
             captures.setdefault(t, []).append(k)
-    shared_data = stack[0].data if all(r.data is stack[0].data for r in stack) else None
 
     # The step only writes into these buffers. Rows are gathered into
     # preallocated batches of the full size and of the final batch's size;
@@ -382,13 +367,9 @@ def train_stack(groups) -> list:
             idx = orders[:live, start : start + batch_size]
             batch = batches[idx.shape[1]]
             # mode="clip" lets take write straight into `out`; every index is valid.
-            if shared_data is not None:
-                shared_data.inputs.take(idx, axis=0, out=batch.inputs, mode="clip")
-                shared_data.labels.take(idx, out=batch.labels, mode="clip")
-            else:
-                for k in range(live):
-                    stack[k].data.inputs.take(idx[k], axis=0, out=batch.inputs[k], mode="clip")
-                    stack[k].data.labels.take(idx[k], out=batch.labels[k], mode="clip")
+            for k in range(live):
+                stack[k].data.inputs.take(idx[k], axis=0, out=batch.inputs[k], mode="clip")
+                stack[k].data.labels.take(idx[k], out=batch.labels[k], mode="clip")
             seeds = [0 if seed is None else derive_seed(seed, "dropout", t) for seed in dropout_seeds[:live]]
             losses, grad = loss_and_grad(specs[:live], params, batch, "train", seeds, workspace=workspace)
             if not all(map(math.isfinite, losses)):

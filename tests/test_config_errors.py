@@ -167,3 +167,30 @@ def test_unallocatable_model_layers_exits_2_before_anything_is_staged(
         f"config error: {{cfg}}: model.layers: {layers} needs {size} bytes per training step, "
         "more than this process can allocate\n",
     )
+
+
+# Generated data that no process can allocate: 10**12 rows need 24 TB, and
+# 10**20 rows more bytes than an array can index. The kernel refuses each
+# request at once, so nothing is touched.
+UNALLOCATABLE_ROWS = [(10**12, 24 * 10**12), (10**20, 24 * 10**20)]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("source", ["two_moons", "spirals"])
+@pytest.mark.parametrize("n, size", UNALLOCATABLE_ROWS)
+def test_unallocatable_generated_data_exits_2_before_anything_is_staged(
+    tmp_path, monkeypatch, capsys, command, source, n, size
+):
+    text = config_text("runs/b", source=source, params=f"n={n},noise=0.1,seed=3")
+    assert run(command, tmp_path, monkeypatch, capsys, text) == (
+        2, f"config error: {{cfg}}: data.params: n={n} needs {size} bytes, more than this process can allocate\n"
+    )
+
+
+@pytest.mark.parametrize("source", ["two_moons", "spirals", "blobs"])
+@pytest.mark.parametrize("n, size", UNALLOCATABLE_ROWS)
+def test_unallocatable_gen_data_exits_2_naming_n(tmp_path, capsys, source, n, size):
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--source", source, "--n", str(n), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: n={n} needs {size} bytes, more than this process can allocate\n"
+    assert not out.exists()

@@ -60,6 +60,30 @@ def test_init_weight_bounds_follow_fan_in():
     assert np.all(np.abs(w2) <= math.sqrt(6.0 / 3))
 
 
+def test_layer_views_of_a_stack_are_its_rows_views_without_copies():
+    spec = ModelSpec((3, 5, 4, 2))
+    stack = np.random.default_rng(4).normal(size=(3, param_count(spec)))
+    views = layer_views(spec, stack)
+    for k, row in enumerate(stack):
+        for (w, b), (w_k, b_k) in zip(views, layer_views(spec, row), strict=True):
+            assert (w[k].shape, b[k].shape) == (w_k.shape, b_k.shape)
+            assert w[k].tobytes() == w_k.tobytes() and b[k].tobytes() == b_k.tobytes()
+    # a write through each view lands in every row of the stack, in layout order
+    for i, (w, b) in enumerate(views):
+        w[...], b[...] = 2.0 * i + 1, 2.0 * i + 2
+    row = np.concatenate([np.full(n, 2.0 * i + j) for i, (w, b) in enumerate(views)
+                          for n, j in ((w[0].size, 1), (b[0].size, 2))])
+    assert stack.tobytes() == np.tile(row, (3, 1)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 54)], ids=["0-d", "3-d"])
+def test_layer_views_refuse_params_that_are_not_a_vector_or_a_stack(shape):
+    spec = ModelSpec((3, 5, 4, 2))
+    assert param_count(spec) == 54
+    with pytest.raises(InputError, match=r"a flat vector or a \(K, P\) stack"):
+        layer_views(spec, np.zeros(shape))
+
+
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=25)
 def test_init_purity_property(seed):

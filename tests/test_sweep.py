@@ -15,6 +15,7 @@ import snapens.errors as errors_mod
 import snapens.sweep as sweep_mod
 from conftest import cpus, subprocess_env, writer_lock
 from snapens.cli import main
+from snapens.store import read_manifest
 
 CFG = """\
 model.layers = 2,16,2
@@ -424,3 +425,28 @@ def test_importing_the_cli_leaves_the_worker_modules_out():
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_true_ensemble_manifest_script_combines_each_runs_final_snapshot(tmp_path, monkeypatch, capsys):
+    """scripts/make_true_ensemble_manifest.py, as the true_ensemble recipes
+    use it: a manifest of each run's last snapshot that `ensemble` reads."""
+    monkeypatch.chdir(tmp_path)
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    for seed in (101, 102):
+        write_config(config_dir, f"seed{seed}", f"runs/seed{seed}", seed=seed)
+    assert main(["sweep", str(config_dir)]) == 0
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_true_ensemble_manifest.py")
+    subprocess.run(
+        [sys.executable, script, "runs/seed101", "runs/seed102", "--out", "true.manifest"],
+        check=True, env=subprocess_env(), capture_output=True, timeout=60,
+    )
+    finals = [read_manifest(f"runs/seed{seed}/run.manifest").snapshot_files[-1] for seed in (101, 102)]
+    assert finals == ["snap_004.snap", "snap_004.snap"]
+    members = read_manifest("true.manifest").snapshot_files
+    assert members == ("runs/seed101/snap_004.snap", "runs/seed102/snap_004.snap")
+    capsys.readouterr()
+    assert main(["ensemble", "--manifest", "true.manifest", "--data", "runs/seed101/test.csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "m,ensemble_error"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]

@@ -18,7 +18,6 @@ from snapens.trainer import (
     iterations_for,
     sgd_step,
     train,
-    train_group,
     train_stack,
     trajectory_key,
 )
@@ -87,7 +86,8 @@ def test_group_gives_each_config_the_run_it_gets_alone():
     data = gen_two_moons(106, 0.1, seed=0)
     single = step_config(106, 10, 3, "single", seed=4)
     nocycle = replace(single, mode="nocycle", snapshot_count=3)
-    for config, grouped in zip([nocycle, single], train_group([nocycle, single], data)):
+    (runs,) = train_stack([([nocycle, single], data, None)])
+    for config, grouped in zip([nocycle, single], runs):
         alone = train(config, data)
         assert grouped.config_digest == alone.config_digest
         assert (grouped.epoch_losses, grouped.epoch_end_lrs) == (alone.epoch_losses, alone.epoch_end_lrs)
@@ -102,7 +102,7 @@ def test_group_with_two_trajectories_is_refused():
     data = gen_two_moons(106, 0.1, seed=0)
     single = step_config(106, 10, 3, "single", seed=4)
     with pytest.raises(InputError, match="trajectory_key"):
-        train_group([single, replace(single, seed=5)], data)
+        train_stack([([single, replace(single, seed=5)], data, None)])
 
 
 def test_sgd_step_vanilla():
@@ -405,6 +405,11 @@ def run_key(run):
     )
 
 
+def each_alone(configs, data):
+    """Each config's run, trained by `train` on its own."""
+    return [train(config, data) for config in configs]
+
+
 def stack_groups_of(n, batch_size, epochs):
     """Five groups of one layer shape: snapshot; singlecycle with weight
     decay; single with dropout and a second momentum; a nocycle/single pair
@@ -428,7 +433,7 @@ def stack_groups_of(n, batch_size, epochs):
 def test_stacked_runs_match_their_lone_runs_byte_for_byte(size):
     data = gen_two_moons(106, 0.1, seed=0)  # 11 batches per epoch, the last one of 6 rows
     groups = stack_groups_of(106, 10, 4)
-    alone = [[run_key(run) for run in train_group(configs, data)] for configs in groups]
+    alone = [[run_key(run) for run in each_alone(configs, data)] for configs in groups]
     for first in range(len(groups) - size + 1):
         window = groups[first : first + size]
         stacked = train_stack([(configs, data, None) for configs in window])
@@ -439,8 +444,8 @@ def test_stacked_groups_may_train_on_different_splits_of_one_size():
     moons, blobs = gen_two_moons(106, 0.1, seed=0), gen_blobs(106, 2, 0.5, seed=1)
     first, second = stack_groups_of(106, 10, 2)[:2]
     stacked = train_stack([(first, moons, None), (second, blobs, None)])
-    assert [run_key(run) for run in stacked[0]] == [run_key(run) for run in train_group(first, moons)]
-    assert [run_key(run) for run in stacked[1]] == [run_key(run) for run in train_group(second, blobs)]
+    assert [run_key(run) for run in stacked[0]] == [run_key(run) for run in each_alone(first, moons)]
+    assert [run_key(run) for run in stacked[1]] == [run_key(run) for run in each_alone(second, blobs)]
 
 
 def test_stack_of_different_shapes_is_refused():
@@ -464,10 +469,10 @@ def test_a_diverging_row_ends_itself_and_the_rows_after_it(failing):
     with np.errstate(all="ignore"):
         stacked = train_stack([(configs, data, None) for configs in groups])
         with pytest.raises(DivergenceError) as alone:
-            train_group(groups[failing], data)
+            each_alone(groups[failing], data)
     assert len(stacked) == failing + 1
     for configs, runs in zip(groups, stacked[:failing]):
-        assert [run_key(run) for run in runs] == [run_key(run) for run in train_group(configs, data)]
+        assert [run_key(run) for run in runs] == [run_key(run) for run in each_alone(configs, data)]
     assert isinstance(stacked[-1], DivergenceError)
     assert stacked[-1].iteration == alone.value.iteration
 
@@ -479,9 +484,9 @@ def test_a_later_failure_of_an_earlier_row_is_the_one_reported():
     groups[0] = diverging(groups[0], alpha0=1e3)  # later: at iteration 18
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as first:
-            train_group(groups[0], data)
+            each_alone(groups[0], data)
         with pytest.raises(DivergenceError) as third:
-            train_group(groups[2], data)
+            each_alone(groups[2], data)
         stacked = train_stack([(configs, data, None) for configs in groups])
     assert third.value.iteration < first.value.iteration
     assert len(stacked) == 1 and stacked[0].iteration == first.value.iteration
@@ -509,7 +514,7 @@ def test_a_row_whose_snapshot_cannot_be_written_ends_like_a_diverging_one(tmp_pa
     stacked = train_stack([(configs, data, out) for configs, out in zip(groups, dirs)])
     assert len(stacked) == failing + 1 and isinstance(stacked[-1], StorageError)
     for configs, runs in zip(groups, stacked[:failing]):
-        assert [run_key(run) for run in runs] == [run_key(run) for run in train_group(configs, data)]
+        assert [run_key(run) for run in runs] == [run_key(run) for run in each_alone(configs, data)]
 
 
 def test_stacked_sgd_step_updates_each_row_as_its_own_vector():
