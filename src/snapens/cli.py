@@ -39,7 +39,7 @@ from .errors import (
 _IMPORTS = {
     "analysis": ("default_lambda_grid", "interpolate", "softmax_correlation"),
     "config": ("build_datasets", "input_files", "parse_config", "resolve_train_config"),
-    "data": ("GENERATORS", "load_csv", "save_csv"),
+    "data": ("GENERATORS", "can_allocate", "load_csv", "save_csv"),
     "ensemble": ("ORDERS", "ensemble_eval", "ensemble_sweep", "error_over_time", "predict"),
     "nn": ("check_labels", "param_count"),
     "pool": ("run_shares", "worker_count"),
@@ -352,6 +352,9 @@ def cmd_interpolate(args) -> int:
         pairs = [(count, k) for k in range(1, count)]
         if not pairs:
             raise InputError("--against-final needs a run with at least two snapshots")
+    size = 16 * args.points  # the lambda grid and a curve's error at each point
+    if args.points >= 1 and not can_allocate(size):
+        raise InputError(f"--points {args.points} needs {size} bytes, more than this process can allocate")
     grid = default_lambda_grid(args.points)
     for i, j in pairs:
         _check_snapshot_index(i, count)

@@ -9,9 +9,9 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .store import write_atomically
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-# Cells per block in save_csv and _load_csv_rows: each block converts its
-# distinct values once. A block's cell texts stay alive until it is converted,
-# about 1 MB of strings at 16,384 cells.
+# Cells per block of save_csv: each block formats its distinct float64 bit
+# patterns once. A block's texts stay alive until it is joined, about 1 MB of
+# strings at 16,384 distinct cells.
 CSV_BLOCK_CELLS = 16_384
 # Bytes per chunk of load_csv's byte reader, which holds about 100 bytes per
 # cell of a chunk. At 64 KB, 784-column pixel rows make chunks of about 4,700
@@ -156,6 +156,9 @@ def gen_blobs(n: int, class_count: int, spread: float, seed: int) -> Dataset:
         raise InputError("spread must be >= 0")
     rng = _rng(seed, "seed")
     _check_rows_fit(n)
+    size = 16 * class_count  # the centers
+    if not can_allocate(size):
+        raise InputError(f"classes={class_count} needs {size} bytes, more than this process can allocate")
     centers = rng.uniform(-4.0, 4.0, (class_count, 2))
     base, extra = divmod(n, class_count)
     counts = [base + (1 if k < extra else 0) for k in range(class_count)]
@@ -219,8 +222,8 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     bytes in chunks of about `CSV_CHUNK_BYTES`: each distinct cell text of
     a chunk goes through `float()` once, and each distinct label text
     through `int()`. Any other file, and any plain file with a fault, is
-    read by `_load_csv_rows`, which gives the same values and words every
-    fault.
+    read row by row through `csv.reader` by `_load_csv_rows`, which gives
+    the same values and words every fault.
     """
     try:
         return _load_plain_csv(path, label_column)
@@ -390,80 +393,54 @@ def _key_hash(words: np.ndarray) -> np.ndarray:
 def _load_csv_rows(path, label_column: str = "label") -> Dataset:
     """`load_csv` through `csv.reader`, for any file: the path that words faults.
 
-    Rows convert in blocks of about `CSV_BLOCK_CELLS` cells, each distinct
-    cell text through `float()` once. Faults are reported as a row-by-row
-    read would meet them: the first faulty row wins, and within a row the
-    cell count comes first, then the label, then the first non-numeric or
-    non-finite feature.
+    Rows are read one at a time, and the first fault raises: a line that is
+    not UTF-8 or not CSV, and within a row the cell count, then the label,
+    then the first non-numeric or non-finite feature. Features collect in one
+    flat `array("d")`, 8 bytes a cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
+        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected a header row") from None
-        if label_column not in header:
-            raise FormatError(f"{path}: missing column {label_column!r}")
-        label_idx = header.index(label_column)
-        step = max(1, CSV_BLOCK_CELLS // len(header))
-        blocks = []
-        labels = []
-        block = []
-        try:
-            for row in reader:
-                block.append(row)
-                if len(block) == step:
-                    blocks.append(_parse_rows(block, len(labels) + 2, header, label_idx, labels, path))
-                    block = []
-        except FormatError:
-            # a fault in a row read before the bad CSV syntax is reported first
-            _parse_rows(block, len(labels) + 2, header, label_idx, labels, path)
-            raise
-    if block:
-        blocks.append(_parse_rows(block, len(labels) + 2, header, label_idx, labels, path))
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected a header row")
+            if label_column not in header:
+                raise FormatError(f"{path}: missing column {label_column!r}")
+            label_idx = header.index(label_column)
+            columns = header[:label_idx] + header[label_idx + 1 :]
+            features, labels = array("d"), array("q")
+            for i, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise FormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+                try:
+                    labels.extend(_labels((row.pop(label_idx),)))
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: row {i}, column {label_column!r}: not an integer label in [0, 2**63)"
+                    ) from None
+                try:
+                    values = array("d", map(float, row))
+                    # a nan or inf makes the sum one; an overflowing sum only costs the look below
+                    finite = math.isfinite(sum(values))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    for name, cell in zip(columns, row):
+                        try:
+                            fault = None if math.isfinite(float(cell)) else "not finite"
+                        except ValueError:
+                            fault = "not numeric"
+                        if fault:
+                            raise FormatError(f"{path}: row {i}, column {name!r}: {fault}")
+                features += values
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not labels:
         raise FormatError(f"{path}: no data rows")
-    labels = np.array(labels, np.int64)
-    return Dataset(np.concatenate(blocks), labels, int(labels.max()) + 1)
-
-
-def _parse_rows(rows, first_row, header, label_idx, labels, path) -> np.ndarray:
-    """Feature matrix of `rows` (file rows from `first_row` on); appends their
-    labels to `labels`. The label cells go through `float()` with the rest
-    (a text `int()` accepts, `float()` accepts) and are dropped after."""
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        _raise_first_fault(rows, first_row, header, label_idx, path)
-    try:
-        block_labels = _labels(map(itemgetter(label_idx), rows))
-        cells = list(chain.from_iterable(rows))
-        table = dict.fromkeys(cells)
-        table = dict(zip(table, map(float, table)))
-        values = np.fromiter(map(table.__getitem__, cells), np.float64, len(cells))
-    except ValueError:
-        _raise_first_fault(rows, first_row, header, label_idx, path)
-        raise
-    if not np.isfinite(values).all():
-        _raise_first_fault(rows, first_row, header, label_idx, path)
-    labels += block_labels
-    return np.delete(values.reshape(len(rows), width), label_idx, axis=1)
-
-
-def _raise_first_fault(rows, first_row, header, label_idx, path) -> None:
-    """Check `rows` one by one as a row-by-row reader would and raise the
-    FormatError of the first fault."""
-    for i, row in enumerate(rows, start=first_row):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        try:
-            _labels((row[label_idx],))
-        except ValueError:
-            raise FormatError(
-                f"{path}: row {i}, column {header[label_idx]!r}: not an integer label in [0, 2**63)"
-            ) from None
-        for j, cell in enumerate(row):
-            if j != label_idx and (fault := _feature_fault(cell)):
-                raise FormatError(f"{path}: row {i}, column {header[j]!r}: {fault}")
+    labels = np.frombuffer(labels, np.int64)
+    return Dataset(np.frombuffer(features).reshape(len(labels), len(columns)), labels, int(labels.max()) + 1)
 
 
 def _labels(texts) -> list[int]:
@@ -473,25 +450,6 @@ def _labels(texts) -> list[int]:
     if values and (min(values) < 0 or max(values) >= 2**63):
         raise ValueError("label out of range")
     return values
-
-
-def _csv_rows(fh, path):
-    """`csv.reader` rows, raising FormatError on bytes that are not UTF-8 or bad CSV."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _feature_fault(cell: str) -> str | None:
-    """Why `cell` is no feature value, or None when it is one."""
-    try:
-        return None if math.isfinite(float(cell)) else "not finite"
-    except ValueError:
-        return "not numeric"
 
 
 def load_idx(images_path, labels_path) -> Dataset:

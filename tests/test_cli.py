@@ -328,6 +328,19 @@ def test_interpolate_fewer_than_one_point_exits_2(run_dir, tmp_path, capsys, poi
     assert not (tmp_path / "x").exists()
 
 
+# 10**12 points need 16 TB for the lambda grid and a curve's errors, and
+# 10**20 more bytes than an array can index: the kernel refuses each at once.
+@pytest.mark.parametrize("points", [10**12, 10**20])
+def test_interpolate_unallocatable_points_exits_2_naming_it(run_dir, tmp_path, capsys, points):
+    assert main(["interpolate", "--manifest", str(run_dir / "run.manifest"),
+                 "--data", str(run_dir / "test.csv"), "--against-final",
+                 "--points", str(points), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --points {points} needs {16 * points} bytes, more than this process can allocate\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 def test_correlate_outputs_matrix_and_triples(run_dir, tmp_path):
     out = tmp_path / "corr"
     assert main(["correlate", "--manifest", str(run_dir / "run.manifest"),

@@ -187,6 +187,33 @@ def test_unallocatable_generated_data_exits_2_before_anything_is_staged(
     )
 
 
+# Blob centers no process can allocate: 16 bytes a class.
+UNALLOCATABLE_CLASSES = [(10**12, 16 * 10**12), (10**20, 16 * 10**20)]
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("classes, size", UNALLOCATABLE_CLASSES)
+def test_unallocatable_blob_classes_exit_2_before_anything_is_staged(
+    tmp_path, monkeypatch, capsys, command, classes, size
+):
+    text = config_text("runs/b", source="blobs", params=f"n=20,classes={classes},spread=0.5,seed=3")
+    assert run(command, tmp_path, monkeypatch, capsys, text) == (
+        2,
+        f"config error: {{cfg}}: data.params: classes={classes} needs {size} bytes, "
+        "more than this process can allocate\n",
+    )
+
+
+@pytest.mark.parametrize("classes, size", UNALLOCATABLE_CLASSES)
+def test_unallocatable_gen_data_exits_2_naming_classes(tmp_path, capsys, classes, size):
+    out = tmp_path / "x.csv"
+    assert main(["gen-data", "--source", "blobs", "--n", "10", "--classes", str(classes), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: classes={classes} needs {size} bytes, more than this process can allocate\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["two_moons", "spirals", "blobs"])
 @pytest.mark.parametrize("n, size", UNALLOCATABLE_ROWS)
 def test_unallocatable_gen_data_exits_2_naming_n(tmp_path, capsys, source, n, size):

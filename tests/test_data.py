@@ -366,9 +366,9 @@ def test_key_hash_collisions_cannot_change_a_value(tmp_path, monkeypatch, make):
 
 def test_load_csv_peak_memory_is_bounded_by_a_chunk(tmp_path):
     """Bound: twice the feature matrix plus 4 MiB, 27.9 MiB here. Measured on
-    this 14.9 MiB file: 13.6 MiB for load_csv, 25.6 MiB for the csv.reader
-    path (its blocks and their concatenation are alive at once), and 229 MiB
-    for the byte reader given the whole file as one chunk."""
+    this 14.9 MiB file: 13.6 MiB for load_csv, 14.2 MiB for the csv.reader
+    path (one flat array of features, read row by row), and 229 MiB for the
+    byte reader given the whole file as one chunk."""
     ds = _pixels(2000, seed=11)
     path = tmp_path / "pixels.csv"
     save_csv(ds, path)
@@ -380,6 +380,55 @@ def test_load_csv_peak_memory_is_bounded_by_a_chunk(tmp_path):
         tracemalloc.stop()
     assert back.inputs.tobytes() == ds.inputs.tobytes()
     assert peak < 2 * ds.inputs.nbytes + 4 * 2**20, peak
+
+
+def _normals(rows: int, seed: int) -> Dataset:
+    """`rows` 784-column rows of standard normal float64s: no text repeats."""
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((rows, 784)), rng.integers(0, 10, rows), 10)
+
+
+def _quoted(make, path) -> Dataset:
+    """`make()`, saved to `path` with cell i % width of line i quoted, labels
+    among them: a file only the csv.reader path reads."""
+    ds = make()
+    save_csv(ds, path)
+    lines = path.read_bytes().splitlines()
+    width = lines[0].count(b",") + 1
+    for i in range(1, len(lines)):
+        cells = lines[i].split(b",")
+        cells[i % width] = b'"' + cells[i % width] + b'"'
+        lines[i] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(data._NotPlain):
+        data._load_plain_csv(path, "label")
+    return ds
+
+
+@pytest.mark.parametrize("make", [partial(_pixels, 250, 5), partial(_normals, 250, 5)], ids=["pixels", "normals"])
+def test_csv_reader_path_reads_the_saved_values(tmp_path, make):
+    # the reference of every differential test, against the values save_csv wrote
+    ds = _quoted(make, tmp_path / "quoted.csv")
+    back = load_csv(tmp_path / "quoted.csv")
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    assert back.class_count == int(ds.labels.max()) + 1
+
+
+def test_csv_reader_path_peak_memory_is_the_matrix_and_a_quarter(tmp_path):
+    """Bound: 1.25 times the feature matrix plus 4 MiB, 19 MiB here, for one
+    flat array of features and a row's temporaries. Measured on this quoted
+    2,000 x 784 file: 14.2 MiB; the block reader this path replaced peaked
+    at 25.6 MiB."""
+    ds = _quoted(partial(_pixels, 2000, 11), tmp_path / "quoted.csv")
+    tracemalloc.start()
+    try:
+        back = load_csv(tmp_path / "quoted.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert peak < 1.25 * ds.inputs.nbytes + 4 * 2**20, peak
 
 
 @pytest.mark.parametrize(
