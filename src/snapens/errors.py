@@ -26,7 +26,7 @@ class StorageError(SnapensError):
 
 
 class DivergenceError(SnapensError):
-    """Training loss became non-finite."""
+    """Training loss, or the parameters at a snapshot, became non-finite."""
 
     def __init__(self, iteration: int):
         super().__init__(f"diverged at iteration {iteration}")

@@ -131,20 +131,9 @@ class Workspace:
 
     def __init__(self, spec: ModelSpec, runs: int | None = None):
         shape = (param_count(spec),) if runs is None else (runs, param_count(spec))
-        self._bind(spec, np.zeros(shape), np.zeros(shape))
-
-    def _bind(self, spec, params, grad):
-        self.spec = spec
-        self.params = params
-        self.grad = grad
-        self.layers = layer_views(spec, params.reshape(-1, params.shape[-1]))
-        self.grad_layers = layer_views(spec, grad.reshape(-1, grad.shape[-1]))
-
-    def head(self, runs: int) -> "Workspace":
-        """A workspace over the first `runs` rows of this stack, sharing their memory."""
-        head = object.__new__(Workspace)
-        head._bind(self.spec, self.params[:runs], self.grad[:runs])
-        return head
+        self.params, self.grad = np.zeros(shape), np.zeros(shape)
+        self.layers = layer_views(spec, self.params.reshape(-1, shape[-1]))
+        self.grad_layers = layer_views(spec, self.grad.reshape(-1, shape[-1]))
 
 
 def _check_mode(mode: str) -> None:

@@ -15,7 +15,9 @@ bit-identical results. Configs that differ only in where they snapshot (one
 one layer shape and budget in one loop, each step one stacked
 `loss_and_grad` and one `sgd_step` over (K, P) arrays, one row per
 trajectory, and gives each run the bytes it gets alone. Every run goes
-through it: `train` is a stack of one.
+through it: `train` is a stack of one. It reads the schedule at each step
+and tabulates nothing per iteration. A run whose loss turns non-finite, or
+whose parameters are not all finite at a snapshot, ends with DivergenceError.
 
 Given run directories, the loop writes each snapshot from the live parameter
 vector to the staged path `store.staged_path` names as it captures it, so a
@@ -259,21 +261,23 @@ class _Trajectory:
             for c, out in zip(configs, out_dirs or [None] * len(configs))
         ]
         self.snapshot_at = set().union(*(at for _, at, _, _ in self.runs))
-        self.lrs = [lr_at(config.schedule, t) for t in range(1, total + 1)]
         self.epoch_losses: list[float] = []
         self.epoch_end_lrs: list[float] = []
 
-    def reinits(self) -> list[tuple[int, int]]:
-        """(iteration, cycle) of each cycle after the first of a singlecycle
-        run, which starts that iteration from fresh parameters."""
-        if self.config.mode != "singlecycle":
-            return []
-        cycle_len = self.config.schedule.cycle_length
-        starts = range(cycle_len + 1, self.config.schedule.total_iterations + 1, cycle_len)
-        return [(t, (t - 1) // cycle_len + 1) for t in starts]
+    def reinit_cycle(self, t: int) -> int | None:
+        """The cycle that iteration t starts from fresh parameters: each
+        cycle after the first of a singlecycle run, at its first iteration."""
+        if self.config.mode == "singlecycle":
+            cycle_len = self.config.schedule.cycle_length
+            if t > cycle_len and (t - 1) % cycle_len == 0:
+                return (t - 1) // cycle_len + 1
+        return None
 
     def capture(self, t: int, params: ParamVector, loss: float) -> None:
-        """Record the parameters after iteration t for each config that snapshots there."""
+        """Record the parameters after iteration t for each config that
+        snapshots there; parameters that are not all finite diverged at t."""
+        if not np.isfinite(params).all():
+            raise DivergenceError(t)
         captured = params if self.runs[0][3] is not None else params.copy()  # written out now, or kept
         for digest, at, records, out in self.runs:
             if t in at:
@@ -308,11 +312,13 @@ def train_stack(groups) -> list:
     re-initialisations and captures, so each run has the bytes it gets in a
     stack of one.
 
-    A group whose loss turns non-finite, or whose snapshot cannot be
-    written, ends with that error, and so do the groups after it, while the
-    groups before it run to the end. So the result matches training the
-    groups one after another up to the first that fails: each group's runs,
-    in order, up to that group, whose entry is its error.
+    A group ends when its loss turns non-finite, when its parameters are not
+    all finite at a snapshot, or when its snapshot cannot be written. Every
+    row still steps, but it and the groups after it record nothing more,
+    while the groups before it run to the end; the loop stops once no group
+    records. So the result matches training the groups one after another up
+    to the first that fails: each group's runs, in order, up to that group,
+    whose entry is its error.
     """
     stack = [_Trajectory(*group) for group in groups]
     first = stack[0].config
@@ -320,84 +326,69 @@ def train_stack(groups) -> list:
     if any(loop_shape(r.config, len(r.data)) != loop_shape(first, n) for r in stack):
         raise InputError("the groups of one loop must share layer sizes, batch size, split length and epochs")
     specs = tuple(r.config.model for r in stack)
-    lrs = list(zip(*(r.lrs for r in stack)))  # per iteration, each row's learning rate
     momentum = [r.config.momentum for r in stack]
     # decay only the rows that set one: adding 0 * params would flip a -0.0 gradient
     decayed = [(k, r.config.weight_decay) for k, r in enumerate(stack) if r.config.weight_decay > 0.0]
     dropout_seeds = [r.config.seed if r.config.model.dropout_rate > 0.0 else None for r in stack]
-    reinits, captures = {}, {}  # iteration -> the rows that re-initialise or capture there
-    for k, run in enumerate(stack):
-        for t, cycle in run.reinits():
-            reinits.setdefault(t, []).append((k, cycle))
-        for t in run.snapshot_at:
-            captures.setdefault(t, []).append(k)
 
     # The step only writes into these buffers. Rows are gathered into
     # preallocated batches of the full size and of the final batch's size;
-    # each dataset was validated when it was built. When a row ends, the
-    # loop goes on over views of the rows before it.
-    full = Workspace(first.model, len(stack))
+    # each dataset was validated when it was built.
+    workspace = Workspace(first.model, len(stack))
+    params = workspace.params
     for k, run in enumerate(stack):
-        full.params[k] = init_params(run.config.model, run.config.seed)
-    velocity = np.zeros_like(full.params)  # after the init vectors, so it reuses their freed memory
+        params[k] = init_params(run.config.model, run.config.seed)
+    velocity = np.zeros_like(params)  # after the init vectors, so it reuses their freed memory
     dim = stack[0].data.inputs.shape[1]
     sizes = {min(batch_size, n), n % batch_size or batch_size}
-    buffers = {b: (np.zeros((len(stack), b, dim)), np.zeros((len(stack), b), dtype=np.int64)) for b in sizes}
-    errors = {}  # row -> the error that ended it
+    batches = {b: Batch(np.zeros((len(stack), b, dim)), np.zeros((len(stack), b), dtype=np.int64)) for b in sizes}
+    live, error = len(stack), None  # the rows before `live` record; `error` ended row `live`
 
-    def bind(rows):
-        """The step's views of the first `rows` rows."""
-        return rows, full.head(rows), {b: Batch(x[:rows], y[:rows]) for b, (x, y) in buffers.items()}
-
-    live, workspace, batches = bind(len(stack))
-    t = 0
-    for epoch in range(1, epochs + 1):
-        orders = np.array([
-            np.random.default_rng(derive_seed(r.config.seed, "shuffle", epoch)).permutation(n)
-            for r in stack[:live]
-        ])
-        epoch_losses = []  # each step's losses of the rows live at that step
-        for start in range(0, n, batch_size):
-            t += 1
-            params = workspace.params
-            for k, cycle in reinits.get(t, ()):
-                if k < live:
-                    params[k] = init_params(specs[k], derive_seed(stack[k].config.seed, "reinit", cycle))
+    steps = ((epoch, start) for epoch in range(1, epochs + 1) for start in range(0, n, batch_size))
+    # Overflows stay silent: each one that matters ends its row through a
+    # non-finite loss at the next step or non-finite parameters at a capture,
+    # both checked below, and a singlecycle re-init always follows a capture.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (epoch, start) in enumerate(steps, 1):
+            if start == 0:
+                orders = np.array([
+                    np.random.default_rng(derive_seed(r.config.seed, "shuffle", epoch)).permutation(n)
+                    for r in stack
+                ])
+                epoch_losses = []  # each step's losses
+            for k, run in enumerate(stack):
+                cycle = run.reinit_cycle(t)
+                if cycle is not None:
+                    params[k] = init_params(specs[k], derive_seed(run.config.seed, "reinit", cycle))
                     velocity[k] = 0.0
-            idx = orders[:live, start : start + batch_size]
+            idx = orders[:, start : start + batch_size]
             batch = batches[idx.shape[1]]
             # mode="clip" lets take write straight into `out`; every index is valid.
-            for k in range(live):
-                stack[k].data.inputs.take(idx[k], axis=0, out=batch.inputs[k], mode="clip")
-                stack[k].data.labels.take(idx[k], out=batch.labels[k], mode="clip")
-            seeds = [0 if seed is None else derive_seed(seed, "dropout", t) for seed in dropout_seeds[:live]]
-            losses, grad = loss_and_grad(specs[:live], params, batch, "train", seeds, workspace=workspace)
-            if not all(map(math.isfinite, losses)):
-                diverged = next(k for k, loss in enumerate(losses) if not math.isfinite(loss))
-                errors[diverged] = DivergenceError(t)
-                live, workspace, batches = bind(diverged)
-                params, grad = workspace.params, grad[:live]
+            for k, run in enumerate(stack):
+                run.data.inputs.take(idx[k], axis=0, out=batch.inputs[k], mode="clip")
+                run.data.labels.take(idx[k], out=batch.labels[k], mode="clip")
+            seeds = [0 if seed is None else derive_seed(seed, "dropout", t) for seed in dropout_seeds]
+            losses, grad = loss_and_grad(specs, params, batch, "train", seeds, workspace=workspace)
             for k, decay in decayed:
-                if k < live:
-                    grad[k] += decay * params[k]
-            sgd_step(params, grad, velocity[:live], lrs[t - 1][:live], momentum[:live])
+                grad[k] += decay * params[k]
+            lrs = [lr_at(r.config.schedule, t) for r in stack]
+            sgd_step(params, grad, velocity, lrs, momentum)
             epoch_losses.append(losses)
-            for k in captures.get(t, ()):
-                if k < live:
-                    try:
-                        stack[k].capture(t, params[k], losses[k])
-                    except (SnapensError, OSError) as exc:
-                        errors[k] = exc
-                        live, workspace, batches = bind(k)
+            for k, run in enumerate(stack[:live]):
+                try:
+                    if not math.isfinite(losses[k]):
+                        raise DivergenceError(t)
+                    if t in run.snapshot_at:
+                        run.capture(t, params[k], losses[k])
+                except (SnapensError, OSError) as exc:
+                    live, error = k, exc
+                    break
             if not live:
                 break
-        if not live:
-            break
-        for k in range(live):
-            stack[k].epoch_losses.append(float(np.mean([step[k] for step in epoch_losses])))
-            stack[k].epoch_end_lrs.append(stack[k].lrs[t - 1])
+            if start + batch_size >= n:
+                for k, run in enumerate(stack[:live]):
+                    run.epoch_losses.append(float(np.mean([step[k] for step in epoch_losses])))
+                    run.epoch_end_lrs.append(lrs[k])
 
     results = [run.manifests() for run in stack[:live]]
-    if errors:
-        results.append(errors[live])  # the first row that ended
-    return results
+    return results if error is None else results + [error]

@@ -5,10 +5,16 @@ fail at install time; this test names the target that went missing.
 """
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
+
+import numpy as np
 
 import snapens.cli
-from conftest import cpus
+from conftest import SRC, cpus, subprocess_env
+from oracles import write_idx_pair
 from snapens.data import save_csv
 from snapens.store import save_run
 
@@ -26,14 +32,17 @@ data.source = two_moons
 data.params = n=400,noise=0.1,seed=3
 output.dir = {out}
 """
-# Spans one `train` of MOONS_CFG records, with their call counts: both splits
-# saved, one snapshot per cycle.
+# Spans and counters one `train` of MOONS_CFG records, with their call
+# counts: both splits saved, one snapshot per cycle, one learning rate per
+# iteration and one shuffle seed per epoch.
 TRAIN_SPANS = {
     "config.parse_config": 1,
     "config.build_datasets": 1,
     "trainer.train": 1,
     "data.save_csv": 2,
     "store.write_snapshot": 4,
+    "schedule.lr_at": 64,
+    "trainer.derive_seed": 8,
 }
 
 
@@ -160,3 +169,45 @@ def test_eval_commands_predict_each_snapshot_once_under_the_tracer(tiny_run, moo
     # Each command reads the payload of each snapshot it uses once, at most M = 4.
     reads = {label: calls[label].get("store.read_snapshot", 0) for label in commands}
     assert reads == {"ensemble": 4, "ensemble_m2": 2, "curve": 4, "correlate": 4, "interpolate": 4}
+
+
+IDX_CFG = """\
+model.layers = 16,8,3
+schedule.alpha0 = 0.1
+schedule.cycles = 2
+train.mode = snapshot
+train.epochs = 4
+train.batch_size = 10
+train.seed = 5
+data.source = idx
+data.params = images=images.idx,labels=labels.idx,train_fraction=0.5,split_seed=1
+output.dir = run
+"""
+
+
+def test_a_fresh_traced_runner_trains_on_idx_data_and_evaluates(tmp_path):
+    rng = np.random.default_rng(4)
+    write_idx_pair(tmp_path / "images.idx", tmp_path / "labels.idx",
+                   rng.integers(0, 256, (40, 4, 4)), rng.integers(0, 3, 40))
+    (tmp_path / "idx.cfg").write_text(IDX_CFG)
+    inputs = ["--manifest", "run/run.manifest", "--data", "run/test.csv"]
+    commands = [
+        ("train", ["train", "idx.cfg"]),
+        ("ensemble_sweep", ["ensemble", *inputs, "--out", "sweep.csv"]),
+        ("ensemble_m", ["ensemble", *inputs, "--m", "2", "--out", "m.csv"]),
+        ("curve", ["curve", *inputs, "--out", "curve.csv"]),
+        ("correlate", ["correlate", *inputs, "--out", "corr"]),
+        ("interpolate", ["interpolate", *inputs, "--against-final", "--points", "3", "--out", "interp"]),
+    ]
+    spec = {"src": str(SRC), "cwd": str(tmp_path), "commands": commands, "traced": True,
+            "spans_out": None, "idx_probe": None}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    proc = subprocess.run([sys.executable, str(INPROC), str(tmp_path / "spec.json")], cwd=tmp_path,
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(commands), proc.stderr
+    assert {name: result["stats"][name][0] for name in ("data.load_idx", "trainer.train")} == {
+        "data.load_idx": 1,
+        "trainer.train": 1,
+    }
