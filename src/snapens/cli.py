@@ -4,14 +4,13 @@ Subcommands: gen-data, train, ensemble, curve, interpolate, correlate, sweep.
 Exit codes: 0 success, 2 usage/config/input errors, 3 numerical divergence,
 4 I/O and file-format errors. Every emitted CSV carries a header row.
 
-A command line runs in three steps, `parse`, `load` and `run`. Importing this
-module loads no other snapens module but `errors`, and no numpy, so `--help`
-and a usage error, which exit in `parse`, start without them; `load` then
-imports only the modules of the one command that runs.
+A command line runs in three steps: `parse` (from `cmdline`, which holds
+the command table and the parser), `load` and `run`. Importing this module
+loads no other snapens module but `cmdline` and `errors`, and no numpy;
+`load` then imports only the modules of the one command that runs.
 """
 from __future__ import annotations
 
-import argparse
 import csv
 import importlib
 import io
@@ -20,6 +19,7 @@ import sys
 from collections import Counter, namedtuple
 from functools import partial
 
+from .cmdline import COMMANDS, parse
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -40,7 +40,7 @@ _IMPORTS = {
     "analysis": ("default_lambda_grid", "interpolate", "softmax_correlation"),
     "config": ("build_datasets", "input_files", "parse_config", "resolve_train_config"),
     "data": ("GENERATORS", "can_allocate", "load_csv", "save_csv"),
-    "ensemble": ("ORDERS", "ensemble_eval", "ensemble_sweep", "error_over_time", "predict"),
+    "ensemble": ("ensemble_eval", "ensemble_sweep", "error_over_time", "predict"),
     "nn": ("check_labels", "param_count"),
     "pool": ("run_shares", "worker_count"),
     "store": ("SPLIT_NAMES", "load_run", "save_run", "staged_path", "staging", "write_atomically"),
@@ -454,99 +454,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# Each command: its function, its help line and the home modules of the
-# names it calls. Only `sweep`, `train` and a split `interpolate` load the
-# worker code in `pool`, and only `sweep` and `train` the training modules.
-_COMMANDS = {
-    "gen-data": (cmd_gen_data, "generate a synthetic dataset CSV", ("data",)),
-    "train": (cmd_train, "run one training config into its output directory",
-              ("config", "data", "nn", "pool", "store", "trainer")),
-    "ensemble": (cmd_ensemble, "ensemble error for one m or a sweep over m",
-                 ("data", "ensemble", "nn", "store")),
-    "curve": (cmd_curve, "single vs growing-ensemble error over snapshots",
-              ("data", "ensemble", "nn", "store")),
-    "interpolate": (cmd_interpolate, "test error along lines between snapshots",
-                    ("analysis", "data", "nn", "store")),
-    "correlate": (cmd_correlate, "pairwise softmax correlation between snapshots",
-                  ("analysis", "data", "ensemble", "nn", "store")),
-    "sweep": (cmd_sweep, "run every .cfg in a directory and join the results",
-              ("config", "data", "ensemble", "nn", "pool", "store", "sweep", "trainer")),
-}
-
-
-def _add_arguments(p, command):
-    """Add the arguments of `command` to its parser `p`."""
-    if command in ("ensemble", "curve", "interpolate", "correlate"):
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--data", required=True, help="evaluation dataset CSV")
-    if command == "gen-data":
-        _bind("data")
-        p.add_argument("--source", required=True, choices=tuple(GENERATORS))
-        p.add_argument("--out", required=True)
-        p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--noise", type=float, default=0.1)
-        p.add_argument("--turns", type=float, default=2.0, help="spiral revolutions")
-        p.add_argument("--classes", type=int, default=3, help="blob cluster count")
-        p.add_argument("--spread", type=float, default=0.5, help="blob cluster sigma")
-        p.add_argument("--seed", type=int, default=0)
-    elif command == "train":
-        p.add_argument("config")
-    elif command == "ensemble":
-        _bind("ensemble")
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--order", choices=ORDERS, default="latest")
-        p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    elif command == "curve":
-        p.add_argument("--out", default=None)
-    elif command == "interpolate":
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
-        group.add_argument("--against-final", action="store_true")
-        p.add_argument("--points", type=int, default=51)
-        p.add_argument("--out", required=True, help="output directory for curve CSVs")
-    elif command == "correlate":
-        p.add_argument("--out", required=True, help="output directory")
-    elif command == "sweep":
-        p.add_argument("config_dir")
-        p.add_argument("--summary", default="summary.csv")
-
-
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of the command line `argv`. The top-level parser names
-    every command, but only the command `argv` names gets its arguments:
-    parsing `argv` reads no other command's parser, so `--help` and every
-    usage error read as they would with all of them built."""
-    parser = argparse.ArgumentParser(
-        prog="snapens",
-        description="Train small dense nets with cyclic cosine restarts and ensemble the cycle-end snapshots.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    chosen = next((arg for arg in argv if arg in _COMMANDS), None)
-    for command, (func, help_line, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        p.set_defaults(func=func)
-        if command == chosen:
-            _add_arguments(p, command)
-    return parser
-
-
-def parse(argv=None) -> argparse.Namespace:
-    """The parsed command line `argv` (default `sys.argv[1:]`). `--help` and
-    a usage error exit here, through SystemExit."""
-    argv = sys.argv[1:] if argv is None else argv
-    return build_parser(argv).parse_args(argv)
-
-
 def load(command):
     """Bind the names `command` calls from other snapens modules."""
-    _bind(*_COMMANDS[command][2])
+    _bind(*COMMANDS[command][1])
 
 
 def run(args) -> int:
-    """Run the parsed command `args` and return its exit code: each error
-    this package raises maps to 2, 3 or 4 with its message on stderr."""
+    """Run the parsed command `args` with its function (command `NAME` runs
+    `cmd_NAME`, `-` read as `_`) and return its exit code: each error this
+    package raises maps to 2, 3 or 4 with its message on stderr."""
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ConfigError, InputError, UndefinedCorrelationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

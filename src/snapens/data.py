@@ -15,6 +15,7 @@ from itertools import chain
 
 import numpy as np
 
+from .cmdline import SOURCES
 from .errors import FormatError, InputError
 from .store import write_atomically
 
@@ -174,11 +175,12 @@ def gen_blobs(n: int, class_count: int, spread: float, seed: int) -> Dataset:
 
 # Synthetic source -> (generator, ((param, config default), ...)): the generator's
 # positional arguments in order, named as `data.params` keys and `gen-data` flags.
-GENERATORS = {
-    "two_moons": (gen_two_moons, (("n", 1000), ("noise", 0.1), ("seed", 0))),
-    "spirals": (gen_spirals, (("n", 2000), ("turns", 2.0), ("noise", 0.08), ("seed", 0))),
-    "blobs": (gen_blobs, (("n", 900), ("classes", 3), ("spread", 0.5), ("seed", 0))),
-}
+# The sources are named in `cmdline.SOURCES`, which `gen-data --help` reads without numpy.
+GENERATORS = dict(zip(SOURCES, (
+    (gen_two_moons, (("n", 1000), ("noise", 0.1), ("seed", 0))),
+    (gen_spirals, (("n", 2000), ("turns", 2.0), ("noise", 0.08), ("seed", 0))),
+    (gen_blobs, (("n", 900), ("classes", 3), ("spread", 0.5), ("seed", 0))),
+), strict=True))
 
 
 def csv_chunks(dataset: Dataset):

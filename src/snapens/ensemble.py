@@ -6,11 +6,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .cmdline import ORDERS
 from .errors import InputError
 from .nn import Batch, ModelSpec, ParamVector, check_labels, error_rate, forward, softmax
 from .store import SnapshotRecord
-
-ORDERS = ("latest", "earliest")
 
 
 @dataclass

@@ -61,14 +61,16 @@ def set_blas_threads(count: int) -> bool:
 
 def entry(argv=None) -> int:
     """Run the command line `argv` (default `sys.argv[1:]`) as this process's
-    work. The heap of `cli`'s imports is frozen before the parse, where
-    `--help` and a usage error raise SystemExit without numpy loaded; the
-    command's own imports are frozen after the load, with one BLAS thread,
-    and then the command runs."""
-    from . import cli
+    work. It parses with `cmdline` alone, after freezing the heap of its
+    imports: `--help` and a usage error raise SystemExit there, with neither
+    `cli` nor numpy loaded. Then it imports `cli` and the command's own
+    modules, freezes their heap, with one BLAS thread, and runs the command."""
+    from . import cmdline
 
     gc.freeze()
-    args = cli.parse(argv)
+    args = cmdline.parse(argv)
+    from . import cli
+
     cli.load(args.command)
     set_blas_threads(1)
     gc.freeze()

@@ -46,7 +46,7 @@ from .nn import (
     loss_and_grad,
     param_count,
 )
-from .schedule import ScheduleSpec, cycle_end_iterations, lr_at
+from .schedule import ScheduleSpec, lr_at
 from .store import SnapshotRecord, StoredSnapshot, snapshot_name, staged_path, write_snapshot
 
 # Each mode fixes its learning-rate schedule kind.
@@ -218,15 +218,18 @@ def trajectory_key(config: TrainConfig) -> str:
     return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
-def snapshot_iterations(config: TrainConfig) -> tuple[int, ...]:
-    """The iterations `config` snapshots after."""
+def snapshot_due(config: TrainConfig, t: int) -> bool:
+    """Whether `config` snapshots after iteration t: at each cycle end of a
+    cyclic schedule, a final partial cycle included; at floor(k * T / count)
+    for k = 1..count in nocycle mode; else at T. The test is arithmetic on
+    t, so a budget of 10**12 cycles lists nothing before the first step."""
     total = config.schedule.total_iterations
     if config.schedule.kind == "cyclic_cosine":
-        return cycle_end_iterations(config.schedule)
+        return t % config.schedule.cycle_length == 0 or t == total
     if config.mode == "nocycle":
         count = config.snapshot_count
-        return tuple(math.floor(k * total / count) for k in range(1, count + 1))
-    return (total,)
+        return t == -(-t * count // total) * total // count  # k = ceil(t * count / T)
+    return t == total
 
 
 def train(config: TrainConfig, train_data: Dataset) -> RunManifest:
@@ -255,12 +258,11 @@ class _Trajectory:
             )
         check_labels(config.model, data.labels)
         self.data = data
-        # per config: its digest, its snapshot iterations, its records and its directory
+        # per config: its digest, the config, its records and its directory
         self.runs = [
-            (config_digest(c), set(snapshot_iterations(c)), [], out)
+            (config_digest(c), c, [], out)
             for c, out in zip(configs, out_dirs or [None] * len(configs))
         ]
-        self.snapshot_at = set().union(*(at for _, at, _, _ in self.runs))
         self.epoch_losses: list[float] = []
         self.epoch_end_lrs: list[float] = []
 
@@ -279,8 +281,8 @@ class _Trajectory:
         if not np.isfinite(params).all():
             raise DivergenceError(t)
         captured = params if self.runs[0][3] is not None else params.copy()  # written out now, or kept
-        for digest, at, records, out in self.runs:
-            if t in at:
+        for digest, config, records, out in self.runs:
+            if snapshot_due(config, t):
                 record = SnapshotRecord(self.config.model, captured, len(records) + 1, t, loss, digest)
                 if out is not None:  # the live params go to disk now; keep the file's header
                     record = write_snapshot(record, staged_path(out, snapshot_name(record.cycle_index)))
@@ -378,7 +380,7 @@ def train_stack(groups) -> list:
                 try:
                     if not math.isfinite(losses[k]):
                         raise DivergenceError(t)
-                    if t in run.snapshot_at:
+                    if any(snapshot_due(c, t) for _, c, _, _ in run.runs):
                         run.capture(t, params[k], losses[k])
                 except (SnapensError, OSError) as exc:
                     live, error = k, exc

@@ -1,10 +1,17 @@
 import contextlib
 import fcntl
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# No bytecode under src/, set before the first snapens import: a cached .pyc
+# makes later snapens processes start faster than a fresh checkout's, so
+# timings of two trees would not compare.
+sys.dont_write_bytecode = True
 
 from snapens import ModelSpec, ScheduleSpec, TrainConfig, gen_two_moons, iterations_for, train
 from snapens.data import _load_csv_rows, load_csv
@@ -21,12 +28,32 @@ def subprocess_env(**overrides) -> dict:
     """Environment for a child Python that imports snapens from any cwd.
 
     Puts the absolute `src` path first on PYTHONPATH, so a relative entry
-    such as `PYTHONPATH=src` cannot break children started elsewhere.
+    such as `PYTHONPATH=src` cannot break children started elsewhere, and
+    keeps the child from writing bytecode.
     """
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     env.update(overrides)
     return env
+
+
+# Runs `python -m snapens ARGS` in at most 2 GiB of address space, so an
+# allocation sized by a huge input fails there as MemoryError instead of
+# filling the machine.
+LIMITED_SNAPENS = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.argv = ["snapens"] + sys.argv[1:]
+runpy.run_module("snapens", run_name="__main__", alter_sys=True)
+"""
+
+
+def snapens_limited(argv, cwd, timeout):
+    """The finished `python -m snapens ARGV` process, run in `cwd` under
+    `LIMITED_SNAPENS` with one BLAS thread, whose buffers then fit the limit."""
+    return subprocess.run([sys.executable, "-c", LIMITED_SNAPENS, *argv], cwd=cwd,
+                          env=subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def cpus(monkeypatch, count):

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import os
@@ -7,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import cpus, writer_lock
+from conftest import cpus, snapens_limited, writer_lock
 from snapens.cli import main
+from snapens.cmdline import COMMANDS, _add_arguments
 from snapens.data import load_csv
 from snapens.errors import StorageError
 from snapens.store import load_run, read_snapshot, write_snapshot
@@ -339,6 +341,47 @@ def test_interpolate_unallocatable_points_exits_2_naming_it(run_dir, tmp_path, c
         f"config error: --points {points} needs {16 * points} bytes, more than this process can allocate\n"
     )
     assert not (tmp_path / "x").exists()
+
+
+def integer_options():
+    """(command, option, nargs) of every integer option, read from the parser."""
+    for command in COMMANDS:
+        parser = argparse.ArgumentParser()
+        _add_arguments(parser, command)
+        for action in parser._actions:
+            if action.type is int:
+                yield command, action.option_strings[0], action.nargs or 1
+
+
+# A command line each command with an integer option runs under test; the
+# option under test follows it, so it overrides any value given here.
+BASE_ARGV = {
+    "gen-data": ["--source", "blobs", "--n", "10", "--out", "out.csv"],
+    "ensemble": ["--manifest", "{manifest}", "--data", "{data}"],
+    "interpolate": ["--manifest", "{manifest}", "--data", "{data}", "--pair", "1", "2", "--points", "3",
+                    "--out", "interp"],
+}
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("int_options") / "run"
+    cfg = out.parent / "exp.cfg"
+    cfg.write_text(MOONS_CFG.format(out=out))
+    assert main(["train", str(cfg)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", [10**12, 10**20], ids=["1e12", "1e20"])
+@pytest.mark.parametrize("command, option, nargs", list(integer_options()),
+                         ids=[f"{c} {o}" for c, o, _ in integer_options()])
+def test_every_integer_option_at_a_huge_value_ends_without_a_traceback(saved_run, tmp_path, command, option,
+                                                                       nargs, value):
+    files = {"manifest": saved_run / "run.manifest", "data": saved_run / "test.csv"}
+    argv = [command, *(arg.format(**files) for arg in BASE_ARGV[command]), option, *[str(value)] * nargs]
+    proc = snapens_limited(argv, tmp_path, timeout=60)
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_correlate_outputs_matrix_and_triples(run_dir, tmp_path):

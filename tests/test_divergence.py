@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from conftest import snapens_limited, subprocess_env
 from snapens.cli import main
 from snapens.data import Dataset, save_csv
 from snapens.errors import DivergenceError
@@ -59,8 +59,8 @@ def test_train_saves_no_snapshot_with_non_finite_parameters(tmp_path, capsys):
 MOONS_CFG = """\
 model.layers = 2,16,2
 schedule.alpha0 = {alpha0}
-schedule.cycles = 4
-train.mode = snapshot
+schedule.cycles = {cycles}
+train.mode = {mode}
 train.epochs = {epochs}
 train.batch_size = 25
 train.seed = 11
@@ -77,8 +77,8 @@ def snapens(argv, cwd, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def write_moons(path, name, alpha0, epochs=8, decay=0.0):
-    path.write_text(MOONS_CFG.format(name=name, alpha0=alpha0, epochs=epochs, decay=decay))
+def write_moons(path, name, alpha0, epochs=8, decay=0.0, cycles=4, mode="snapshot"):
+    path.write_text(MOONS_CFG.format(name=name, alpha0=alpha0, epochs=epochs, decay=decay, cycles=cycles, mode=mode))
 
 
 def test_a_diverging_train_prints_only_its_error(tmp_path):
@@ -106,4 +106,15 @@ def test_a_huge_budget_is_not_tabulated_before_the_first_step(tmp_path):
     write_moons(tmp_path / "huge.cfg", "huge", 1e18, epochs=10**12, decay=0.001)
     proc = snapens(["train", "huge.cfg"], tmp_path, timeout=10)
     assert proc.returncode == 3
+    assert re.fullmatch(DIVERGED, proc.stderr)
+
+
+@pytest.mark.parametrize("mode", ["snapshot", "nocycle"])
+def test_a_huge_snapshot_count_is_not_tabulated_before_the_first_step(tmp_path, mode):
+    # 10**12 cycle ends (or nocycle snapshots) are tested step by step, never
+    # listed: under the child's address-space limit a list of them would end
+    # in a MemoryError traceback, exit 1, instead of the divergence.
+    write_moons(tmp_path / "huge.cfg", "huge", 1e18, epochs=10**12, decay=0.001, cycles=10**12, mode=mode)
+    proc = snapens_limited(["train", "huge.cfg"], tmp_path, timeout=10)
+    assert proc.returncode == 3, proc.stderr
     assert re.fullmatch(DIVERGED, proc.stderr)

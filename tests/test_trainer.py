@@ -1,14 +1,16 @@
 import copy
+import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from snapens.config import ExperimentConfig, resolve_train_config
+from snapens.config import ExperimentConfig, build_datasets, parse_config, resolve_train_config
 from snapens.data import gen_blobs, gen_two_moons
 from snapens.errors import ConfigError, DivergenceError, InputError, StorageError
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
-from snapens.schedule import ScheduleSpec, lr_at
+from snapens.schedule import ScheduleSpec, cycle_end_iterations, lr_at
 from snapens.store import save_run
 from snapens.trainer import (
     SGD_BLOCK,
@@ -17,6 +19,7 @@ from snapens.trainer import (
     derive_seed,
     iterations_for,
     sgd_step,
+    snapshot_due,
     train,
     train_stack,
     trajectory_key,
@@ -526,3 +529,39 @@ def test_stacked_sgd_step_updates_each_row_as_its_own_vector():
     assert out_params is params and out_velocity is velocity
     assert params.tobytes() == np.stack([p for p, _ in expected]).tobytes()
     assert velocity.tobytes() == np.stack([v for _, v in expected]).tobytes()
+
+
+RECIPES = Path(__file__).resolve().parents[1] / "recipes"
+
+
+def listed_snapshot_iterations(config):
+    """The iterations `config` snapshots after, listed as the paper states them."""
+    total = config.schedule.total_iterations
+    if config.schedule.kind == "cyclic_cosine":
+        return cycle_end_iterations(config.schedule)
+    if config.mode == "nocycle":
+        count = config.snapshot_count
+        return tuple(math.floor(k * total / count) for k in range(1, count + 1))
+    return (total,)
+
+
+@pytest.mark.parametrize("name", sorted(p.relative_to(RECIPES).as_posix() for p in RECIPES.rglob("*.cfg")))
+def test_snapshot_due_takes_the_listed_iterations_on_every_recipe(name):
+    cfg = parse_config(RECIPES / name)
+    config = resolve_train_config(cfg, len(build_datasets(cfg)[0]))
+    total = config.schedule.total_iterations
+    due = tuple(t for t in range(1, total + 1) if snapshot_due(config, t))
+    assert due == listed_snapshot_iterations(config)
+
+
+def test_snapshot_due_takes_the_listed_iterations_on_every_small_schedule():
+    for total in range(1, 41):
+        for cycles in range(1, total + 1):
+            configs = [step_config(total, 1, 1, "nocycle", snapshot_count=cycles), step_config(total, 1, 1, "single")]
+            try:
+                configs.append(cyclic_config(total, 1, 1, cycles))
+            except InputError:  # the cycles cannot fit T
+                pass
+            for config in configs:
+                due = tuple(t for t in range(1, total + 1) if snapshot_due(config, t))
+                assert due == listed_snapshot_iterations(config), (total, cycles, config.mode)
