@@ -28,9 +28,12 @@ CSV_BLOCK_CELLS = 16_384
 # Bytes per chunk of load_csv's byte reader, which holds about 100 bytes per
 # cell of a chunk. At 64 KB, 784-column pixel rows make chunks of about 4,700
 # cells, and each bytes object and array of a chunk stays under 128 KB, where
-# glibc's malloc starts to map fresh pages: with 128 KB chunks, reading a
-# 2.7 MB split in a new process took 4,600 page faults against 590, and 30 %
-# longer.
+# glibc's default malloc maps fresh pages: reading a 2.7 MB split in a new
+# process took 2,348 page faults and 30 ms against 5,026 and 42 ms with 128 KB
+# chunks. Under the `snapens` entry's malloc policy 64, 128 and 256 KB chunks
+# took 483, 772 and 1,250 faults and 31, 27 and 25 ms (medians of 15
+# processes, quartiles 10-17 ms apart, 2 vCPUs): no gain beyond the spread,
+# so the chunk stays where in-process callers read fastest.
 CSV_CHUNK_BYTES = 1 << 16
 # Longest cell the byte reader keys: every float64 repr fits in 24 bytes.
 _KEY_BYTES = 24

@@ -198,9 +198,11 @@ def forward(
 ) -> np.ndarray:
     """Logits matrix (batch_size x K). Eval mode is deterministic and dropout-free.
 
-    Rows go through in blocks of EVAL_BLOCK_ROWS, so a large batch does not
-    fault in fresh full-batch activation arrays on every call. The layer loop
-    is `loss_and_grad`'s. Train mode with dropout runs the whole batch as one
+    Rows go through in blocks of EVAL_BLOCK_ROWS. The blocks fix the bytes,
+    since a product's rounding can depend on its row count, and they keep a
+    large batch from faulting in fresh full-batch activation arrays on every
+    call where malloc maps large arrays afresh, as glibc does outside the
+    `snapens` entry's malloc policy. The layer loop is `loss_and_grad`'s. Train mode with dropout runs the whole batch as one
     block, so its masks are those `loss_and_grad` draws for the same seed.
     """
     _check_mode(mode)

@@ -69,6 +69,10 @@ SGD_BLOCK = 32768
 # 0.96-1.03x at K = 5-6, where each step page-faults 90-160 times on its
 # fresh activation arrays (under 3 at K <= 3). Three 2-128-128-2 runs
 # (543,792 bytes each) took 1.15-1.26x; eight 2-32-32-2 runs took 0.57x.
+# Under the `snapens` entry's malloc policy, K = 4-8 stacks fault 1-3 times
+# a step and took 0.45-0.81x (0.64-0.73x at K = 3), but in-process callers
+# without it still fault 83-221 times and take 1.0-1.4x, and a 2-CPU sweep
+# of the benchmark stacks at most three runs per worker, so the bound stays.
 STACK_BYTES = 512 * 1024
 
 
@@ -196,15 +200,18 @@ def step_bytes(config: TrainConfig) -> int:
 
 
 def check_step_fits(config: TrainConfig) -> None:
-    """Raise ConfigError, naming model.layers, when this process cannot
-    allocate the `step_bytes` of `config` (see `data.can_allocate`), so a
-    command can check this before it locks or stages anything."""
+    """Raise ConfigError when this process cannot allocate the `step_bytes`
+    of `config` (see `data.can_allocate`), so a command can check this
+    before it locks or stages anything. It names train.batch_size when the
+    parameter, velocity and gradient vectors alone fit, else model.layers."""
     size = step_bytes(config)
-    if not can_allocate(size):
-        sizes = ",".join(map(str, config.model.layer_sizes))
-        raise ConfigError(
-            f"model.layers: {sizes} needs {size} bytes per training step, more than this process can allocate"
-        ) from None
+    if can_allocate(size):
+        return
+    if can_allocate(24 * param_count(config.model)):
+        key, value = "train.batch_size", config.batch_size
+    else:
+        key, value = "model.layers", ",".join(map(str, config.model.layer_sizes))
+    raise ConfigError(f"{key}: {value} needs {size} bytes per training step, more than this process can allocate")
 
 
 def trajectory_key(config: TrainConfig) -> str:

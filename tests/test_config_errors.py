@@ -3,10 +3,15 @@ anything trains: the mode/schedule pairing, whether the cycles or snapshots
 fit T, each key's value, the feature count and an unreadable data file.
 Every message names the config file once."""
 import os
+import subprocess
 
 import pytest
 
+from conftest import snapens_limited
 from snapens.cli import main
+from snapens.config import KNOWN_KEYS, _experiment_config
+from snapens.data import GENERATORS
+from snapens.errors import SnapensError
 
 # 20 two-moons rows split into 10 training rows: 2 batches of 5 per epoch, T = 10
 BASE = """\
@@ -169,6 +174,19 @@ def test_unallocatable_model_layers_exits_2_before_anything_is_staged(
     )
 
 
+# A batch whose activations no process can allocate on a net whose three
+# parameter-sized vectors fit: a 2,8,2 step holds 80 bytes a row plus 1,008.
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("batch_size", [10**12, 10**20])
+def test_unallocatable_batch_size_exits_2_naming_it(tmp_path, monkeypatch, capsys, command, batch_size):
+    text = config_text("runs/b").replace("train.batch_size = 5", f"train.batch_size = {batch_size}")
+    assert run(command, tmp_path, monkeypatch, capsys, text) == (
+        2,
+        f"config error: {{cfg}}: train.batch_size: {batch_size} needs {80 * batch_size + 1008} bytes "
+        "per training step, more than this process can allocate\n",
+    )
+
+
 # Generated data that no process can allocate: 10**12 rows need 24 TB, and
 # 10**20 rows more bytes than an array can index. The kernel refuses each
 # request at once, so nothing is touched.
@@ -221,3 +239,69 @@ def test_unallocatable_gen_data_exits_2_naming_n(tmp_path, capsys, source, n, si
     assert main(["gen-data", "--source", source, "--n", str(n), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: n={n} needs {size} bytes, more than this process can allocate\n"
     assert not out.exists()
+
+
+BASE_VALUES = dict(line.split(" = ", 1) for line in config_text("runs/b").splitlines())
+
+
+def integer_keys():
+    """Every config key that takes integers: those whose parser rejects 0.5 as not one."""
+    for key in sorted(KNOWN_KEYS):
+        try:
+            _experiment_config({**BASE_VALUES, key: "0.5"})
+        except SnapensError as exc:
+            if "integer" in str(exc):
+                yield key
+
+
+# Each integer key or generator parameter is a size, a seed or a time budget.
+# A size too large exits 2 naming it; a seed is a valid value; a budget runs.
+INTEGER_KINDS = {
+    "model.layers": "size", "schedule.cycles": "size", "train.batch_size": "size",
+    "train.epochs": "budget", "train.seed": "seed", "n": "size", "classes": "size", "seed": "seed",
+}
+INTEGER_CASES = [
+    *((key, None) for key in integer_keys()),
+    *((name, source) for source, (_, params) in GENERATORS.items() for name, default in params if type(default) is int),
+]
+
+
+def test_every_integer_key_has_a_kind():
+    assert {name for name, _ in INTEGER_CASES} == set(INTEGER_KINDS)
+
+
+def huge_config(name, source, value):
+    """The base config with the key `name` (a `data.params` key of `source`
+    if given) set to `value`, and the token its error must name."""
+    values = dict(BASE_VALUES)
+    if source is None:
+        values[name] = f"2,{value},2" if name == "model.layers" else str(value)
+        return values, f"{name}: "
+    params = {key: default for key, default in GENERATORS[source][1]} | {"n": 20, "classes": 2, name: value}
+    values["data.source"] = source
+    values["data.params"] = ",".join(f"{key}={params[key]}" for key, _ in GENERATORS[source][1])
+    return values, f"data.params: {name}={value} "
+
+
+# Each case runs `train` in a child under a 2 GiB address-space limit, where
+# an allocation sized by the value fails as MemoryError instead of filling
+# the machine; a budget is still running when its timeout kills it.
+@pytest.mark.parametrize("value", [10**12, 10**20], ids=["1e12", "1e20"])
+@pytest.mark.parametrize("name, source", INTEGER_CASES, ids=[f"{s or 'config'} {n}" for n, s in INTEGER_CASES])
+def test_every_integer_key_at_a_huge_value(tmp_path, name, source, value):
+    values, named = huge_config(name, source, value)
+    (tmp_path / "exp.cfg").write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
+    kind = INTEGER_KINDS[name]
+    if kind == "budget":
+        with pytest.raises(subprocess.TimeoutExpired) as running:
+            snapens_limited(["train", "exp.cfg"], tmp_path, timeout=3)
+        assert b"Traceback" not in (running.value.stderr or b"")
+        return
+    proc = snapens_limited(["train", "exp.cfg"], tmp_path, timeout=60)
+    assert "Traceback" not in proc.stderr
+    if kind == "seed":
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: exp.cfg: {named}"), proc.stderr
+        assert not (tmp_path / "runs").exists()

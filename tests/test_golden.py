@@ -14,6 +14,7 @@ import hashlib
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from snapens.cli import main
 from snapens.config import build_datasets, parse_config, resolve_train_config
 from snapens.data import Dataset, save_csv
 from snapens.process import blas_core_type
+from snapens.store import load_run
 from snapens.trainer import config_digest, train
 
 RECIPES = Path(__file__).resolve().parents[1] / "recipes"
@@ -217,7 +219,7 @@ def tree_digest(path: Path) -> str:
     return _digest(b"".join(f.name.encode() + b"\0" + f.read_bytes() for f in files))
 
 
-def eval_output_digests(run_dir: Path, out: Path) -> dict[str, str]:
+def eval_output_digests(run_dir: Path, out: Path, run=main) -> dict[str, str]:
     inputs = ["--manifest", str(run_dir / "run.manifest"), "--data", str(run_dir / "test.csv")]
     commands = {
         "ensemble": ["ensemble"],
@@ -228,7 +230,7 @@ def eval_output_digests(run_dir: Path, out: Path) -> dict[str, str]:
     }
     digests = {}
     for name, (command, *options) in commands.items():
-        assert main([command, *inputs, *options, "--out", str(out / name)]) == 0
+        assert run([command, *inputs, *options, "--out", str(out / name)]) == 0
         digests[name] = tree_digest(out / name)
     return digests
 
@@ -276,3 +278,29 @@ def test_eval_output_bytes_match_golden(name, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     assert eval_output_digests(run_dir, out) == GOLDEN_EVAL[name], f"BLAS core type {blas_core_type()}"
+
+
+def snapens_exit_code(argv, cwd) -> int:
+    return subprocess.run([sys.executable, "-m", "snapens", *argv], cwd=cwd, env=subprocess_env(),
+                          capture_output=True, timeout=120).returncode
+
+
+def test_the_process_entry_writes_the_golden_bytes(tmp_path):
+    """`python -m snapens` runs with the process settings of its entry, which
+    the in-process `main` calls above never make; its `train` of one recipe
+    and the eval commands on that run write the bytes pinned above."""
+    name = "error_curve.cfg"
+    run_dir = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((RECIPES / name).read_text().replace("output.dir = runs/error_curve", f"output.dir = {run_dir}"))
+    run = partial(snapens_exit_code, cwd=tmp_path)
+    assert run(["train", str(cfg)]) == 0
+    params = _digest(b"".join(record.params.tobytes() for record in load_run(run_dir / "run.manifest")))
+    rows = [line.split(",") for line in (run_dir / "loss.csv").read_text().splitlines()[1:]]
+    history = _digest(repr(([float(row[1]) for row in rows], [float(row[2]) for row in rows])).encode())
+    assert (params, history) == GOLDEN[name], f"BLAS core type {blas_core_type()}"
+    splits = tuple(_digest((run_dir / split).read_bytes()) for split in ("train.csv", "test.csv"))
+    assert splits == GOLDEN_CSV[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert eval_output_digests(run_dir, out, run) == GOLDEN_EVAL["error_curve"], f"BLAS core type {blas_core_type()}"

@@ -1,20 +1,24 @@
-"""The process entry: `python -m snapens` runs at one BLAS thread with its
-imported heap frozen, and only the entry does either."""
+"""The process entry: `python -m snapens` runs at one BLAS thread, with the
+malloc policy of `set_malloc_policy` and its imported heap frozen, and only
+the entry does any of these."""
 import ctypes
 import gc
 import pathlib
+import platform
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from conftest import SRC, subprocess_env
 from oracles import write_idx_pair
+from snapens import cli, cmdline, process
 from snapens.cli import main
 from snapens.data import save_csv
-from snapens.process import _openblas_function, set_blas_threads
+from snapens.process import _openblas_function, set_blas_threads, set_malloc_policy
 from snapens.store import save_run
 
 # Runs `python -m snapens ARGS` as the benchmark does and, at exit, writes the
@@ -66,9 +70,49 @@ def test_in_process_main_leaves_the_blas_threads(tmp_path, eval_inputs):
 
 
 def test_only_the_process_entry_freezes_or_sets_blas_threads():
-    pattern = re.compile(r"gc\.freeze|set_blas_threads\(|set_num_threads")
+    pattern = re.compile(r"gc\.freeze|set_blas_threads\(|set_num_threads|mallopt|set_malloc_policy\(")
     users = {path.name for path in (SRC / "snapens").glob("*.py") if pattern.search(path.read_text())}
     assert users == {"process.py"}
+
+
+def test_the_entry_sets_the_malloc_policy_once_between_the_parse_and_the_run(monkeypatch):
+    calls = []
+
+    def record(name, function=lambda *args: 0):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(process, "gc", types.SimpleNamespace(freeze=record("freeze")))
+    monkeypatch.setattr(cmdline, "parse", record("parse", cmdline.parse))
+    monkeypatch.setattr(cli, "load", record("load", cli.load))
+    monkeypatch.setattr(cli, "run", record("run"))
+    monkeypatch.setattr(process, "set_blas_threads", record("blas"))
+    monkeypatch.setattr(process, "set_malloc_policy", record("malloc"))
+    assert process.entry(["gen-data", "--source", "two_moons", "--out", "x.csv"]) == 0
+    assert calls == ["freeze", "parse", "load", "blas", "malloc", "freeze", "run"]
+
+
+def test_in_process_main_keeps_the_allocator(monkeypatch, tmp_path):
+    def refuse():
+        raise AssertionError("cli.main set the malloc policy")
+
+    monkeypatch.setattr(process, "set_malloc_policy", refuse)
+    assert main(["gen-data", "--source", "two_moons", "--n", "20", "--out", str(tmp_path / "m.csv")]) == 0
+
+
+def test_without_mallopt_the_malloc_policy_is_not_set(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert set_malloc_policy() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_glibc_takes_the_malloc_policy():
+    code = "from snapens.process import set_malloc_policy; print(set_malloc_policy())"
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "True\n"
 
 
 @pytest.mark.parametrize("command", ["--help", "ensemble"])

@@ -27,13 +27,13 @@ atexit.register(report)
 sys.argv = ["snapens"] + sys.argv[2:]
 runpy.run_module("snapens", run_name="__main__", alter_sys=True)
 """
-# A second probe, run before PROBE: at exit, it writes whether numpy was
-# loaded to the file named first, with `.numpy` appended.
+# A second probe, run before PROBE: at exit, it writes which of numpy and
+# ctypes were loaded to the file named first, with `.numpy` appended.
 NUMPY_PROBE = """
 import atexit, sys
 def report_numpy(path=sys.argv[1] + ".numpy"):
     with open(path, "w") as fh:
-        fh.write(str("numpy" in sys.modules))
+        fh.write(" ".join(m for m in ("numpy", "ctypes") if m in sys.modules))
 atexit.register(report_numpy)
 """
 # What `snapens --help` and a usage error may load: no `snapens.cli`.
@@ -79,14 +79,14 @@ GOLDEN_USAGE = {
 
 def probe(tmp_path, argv, code=0):
     """The snapens modules `python -m snapens ARGV` loaded, which must exit
-    with `code`, and whether it loaded numpy."""
+    with `code`, and which of numpy and ctypes it loaded."""
     report = tmp_path / "modules.txt"
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE + PROBE, str(report), *argv],
         cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
-    return set(report.read_text().split()), (tmp_path / "modules.txt.numpy").read_text() == "True"
+    return set(report.read_text().split()), set((tmp_path / "modules.txt.numpy").read_text().split())
 
 
 def loaded_modules(tmp_path, argv):
@@ -162,9 +162,9 @@ def test_train_loads_the_training_modules(tmp_path):
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN_USAGE))
-def test_help_and_usage_errors_load_no_numpy(tmp_path, args):
-    loaded, numpy_loaded = probe(tmp_path, args.split(), GOLDEN_USAGE[args][0])
-    assert not numpy_loaded
+def test_help_and_usage_errors_load_neither_numpy_nor_ctypes(tmp_path, args):
+    loaded, heavy = probe(tmp_path, args.split(), GOLDEN_USAGE[args][0])
+    assert heavy == set()
     assert loaded <= PARSE_ONLY
 
 
