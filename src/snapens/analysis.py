@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InputError, UndefinedCorrelationError
 from .ensemble import PredictionMatrix
-from .nn import ModelSpec, ParamVector, evaluate_error
+from .nn import SGD_BLOCK, ModelSpec, ParamVector, evaluate_error
 
 DEFAULT_LAMBDA_POINTS = 51
 
@@ -44,8 +44,9 @@ def interpolate(
 
     A caller that already knows the test error of theta1 or theta2 on
     `dataset` passes it in, and the lam=1 or lam=0 point takes it instead of
-    a forward pass. Each interior point is computed into two buffers made
-    once per curve, with the float operations of `lam*theta1 + (1-lam)*theta2`.
+    a forward pass. Each interior point is mixed into one vector made once
+    per curve, `SGD_BLOCK` elements at a time through one block-sized
+    temporary, with the float operations of `lam*theta1 + (1-lam)*theta2`.
     """
     theta1 = np.asarray(theta1, dtype=np.float64)
     theta2 = np.asarray(theta2, dtype=np.float64)
@@ -60,15 +61,17 @@ def interpolate(
         raise InputError("lambda_grid must be strictly increasing")
 
     errors = np.empty_like(grid)
-    mixed, other = np.empty_like(theta1), np.empty_like(theta2)
+    mixed, other = np.empty_like(theta1), np.empty(min(SGD_BLOCK, len(theta1)))
     for i, lam in enumerate(grid):
         if lam == 0.0:
             point, known = theta2, theta2_error
         elif lam == 1.0:
             point, known = theta1, theta1_error
         else:
-            np.multiply(theta1, lam, out=mixed)
-            np.add(mixed, np.multiply(theta2, 1.0 - lam, out=other), out=mixed)
+            for start in range(0, len(mixed), SGD_BLOCK):
+                block = slice(start, start + SGD_BLOCK)
+                out = np.multiply(theta1[block], lam, out=mixed[block])
+                np.add(out, np.multiply(theta2[block], 1.0 - lam, out=other[: len(out)]), out=out)
             point, known = mixed, None
         errors[i] = evaluate_error(spec, point, dataset) if known is None else known
     return InterpolationCurve(grid, errors)

@@ -136,7 +136,7 @@ def load_experiment(path, cfg, built):
                 check_labels(config.model, split.labels)
         except InputError as exc:
             raise ConfigError(": ".join([*files[-1:], str(exc)])) from None
-        check_step_fits(config)
+        check_step_fits(config, len(train_set))
     except (ConfigError, InputError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except (FormatError, OSError) as exc:

@@ -24,6 +24,11 @@ MODES = ("train", "eval")
 # Rows per block of the eval forward pass; see `forward`.
 EVAL_BLOCK_ROWS = 512
 
+# float64s per block of a whole-vector update (`trainer.sgd_step`,
+# `analysis.interpolate`'s mix): 256 KB of each vector, so the blocks of the
+# update's vectors stay in L2 cache across its ops
+SGD_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -1,22 +1,33 @@
-"""The process entry of the `snapens` command, and the BLAS and malloc
-settings it makes.
+"""The process entry of the `snapens` command, and the import, BLAS and
+malloc settings it makes.
 
 `python -m snapens` and the installed `snapens` script both run `entry`. It
 is the one place that changes process-wide state. It runs `cli.main`'s steps
-(parse, load, run) and, before the run, sets numpy's bundled OpenBLAS to one
-thread, so a wide net's bytes do not depend on how many CPUs are usable,
-sets glibc's malloc to keep freed memory for the rest of the command, so
-arrays allocated again and again are not faulted in afresh each time, and
-freezes the heap of the imported modules (`gc.freeze`), so neither the
-collections of the run nor the interpreter's exit walk it. `cli.main` and
-every library function change none of these settings, since tests and
-library callers run them in-process; there the BLAS thread count, the
-allocator and the collector are the caller's business, and
-`set_blas_threads` and `set_malloc_policy` are the calls this entry makes.
+(parse, load, run); before the load it keeps OpenSSL's hash module out of
+the process, which nothing in snapens uses, and before the run it sets
+numpy's bundled OpenBLAS to one thread, so a wide net's bytes do not depend
+on how many CPUs are usable, sets glibc's malloc to keep freed memory for
+the rest of the command, so arrays allocated again and again are not faulted
+in afresh each time, and freezes the heap of the imported modules
+(`gc.freeze`), so neither the collections of the run nor the interpreter's
+exit walk it. `cli.main` and every library function change none of these
+settings, since tests and library callers run them in-process; there the
+imports, the BLAS thread count, the allocator and the collector are the
+caller's business, and `block_openssl_hashes`, `set_blas_threads` and
+`set_malloc_policy` are the calls this entry makes.
 """
 from __future__ import annotations
 
 import gc
+import sys
+
+# The modules `hashlib` builds its algorithms from when it cannot import
+# `_hashlib` (OpenSSL's): Python 3.12 merged `_sha256` and `_sha512` into
+# `_sha2`. A build may leave any of them out (some ship BLAKE2 alone), and
+# `hashlib` then logs an error at import for each algorithm it lacks.
+BUILTIN_HASHES = ("_blake2", "_md5", "_sha1", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
 
 # glibc's mallopt parameters (malloc.h) and the values `set_malloc_policy`
 # gives them. By default glibc maps each block of 128 KiB or more afresh and
@@ -94,17 +105,33 @@ def set_malloc_policy() -> bool:
     return bool(mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) & mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD))
 
 
+def block_openssl_hashes() -> None:
+    """Make every later `import _hashlib` fail, where this Python has each of
+    `BUILTIN_HASHES` and `_hashlib` is not loaded yet. `hashlib` then builds
+    its algorithms from those modules, `blake2b` (the config digest and
+    `trainer.derive_seed`) among them, whose digests the BLAKE2 spec fixes,
+    and `hmac` takes its pure-Python path, which snapens never calls. So the
+    process does not map OpenSSL's libcrypto (3.4 MB resident), which
+    `trainer`'s `hashlib` and `numpy.random`'s `secrets` would load."""
+    import importlib.util
+
+    if all(importlib.util.find_spec(name) for name in BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def entry(argv=None) -> int:
     """Run the command line `argv` (default `sys.argv[1:]`) as this process's
     work. It parses with `cmdline` alone, after freezing the heap of its
     imports: `--help` and a usage error raise SystemExit there, with neither
-    `cli` nor numpy loaded. Then it imports `cli` and the command's own
+    `cli` nor numpy loaded. Then, with `_hashlib` kept out
+    (`block_openssl_hashes`), it imports `cli` and the command's own
     modules, freezes their heap, with one BLAS thread and the malloc policy
     of `set_malloc_policy`, and runs the command."""
     from . import cmdline
 
     gc.freeze()
     args = cmdline.parse(argv)
+    block_openssl_hashes()
     from . import cli
 
     cli.load(args.command)

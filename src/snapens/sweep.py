@@ -59,9 +59,9 @@ def stack_groups(groups):
     `trainer.STACK_BYTES`. A group too large to share a loop trains alone."""
     stacks, shape, held = [], None, 0
     for group in groups:
-        config = group[0].config
-        this = loop_shape(config, len(group[0].train_set))
-        size = step_bytes(config)
+        config, n = group[0].config, len(group[0].train_set)
+        this = loop_shape(config, n)
+        size = step_bytes(config, n)
         if stacks and this == shape and held + size <= STACK_BYTES:
             stacks[-1].append(group)
             held += size

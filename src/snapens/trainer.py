@@ -36,6 +36,7 @@ import numpy as np
 from .data import Dataset, can_allocate
 from .errors import ConfigError, DivergenceError, InputError, SnapensError
 from .nn import (
+    SGD_BLOCK,
     Batch,
     GradVector,
     ModelSpec,
@@ -57,10 +58,6 @@ MODE_SCHEDULE = {
     "singlecycle": "cyclic_cosine",
 }
 MODES = tuple(MODE_SCHEDULE)
-
-# sgd_step's block of float64s: 256 KB of each vector, so the blocks of the
-# step's vectors stay in L2 cache across its three ops
-SGD_BLOCK = 32768
 
 # The most `step_bytes` that the runs of one `train_stack` loop may hold
 # together. On a 2-vCPU Xeon (2 MB of L2 per core) with one BLAS thread,
@@ -193,18 +190,21 @@ def loop_shape(config: TrainConfig, n_examples: int) -> tuple:
     return (config.model.layer_sizes, config.batch_size, n_examples, config.epochs)
 
 
-def step_bytes(config: TrainConfig) -> int:
-    """The bytes a step of `config` holds: its parameter, velocity and
-    gradient vectors and one full batch of each layer's activations."""
-    return 8 * (3 * param_count(config.model) + config.batch_size * sum(config.model.layer_sizes[1:]))
+def step_bytes(config: TrainConfig, n_examples: int) -> int:
+    """The bytes a step of `config` on a split of `n_examples` rows holds:
+    its parameter, velocity and gradient vectors and each layer's
+    activations for the rows of its largest batch, min(batch_size, n)."""
+    rows = min(config.batch_size, n_examples)
+    return 8 * (3 * param_count(config.model) + rows * sum(config.model.layer_sizes[1:]))
 
 
-def check_step_fits(config: TrainConfig) -> None:
+def check_step_fits(config: TrainConfig, n_examples: int) -> None:
     """Raise ConfigError when this process cannot allocate the `step_bytes`
-    of `config` (see `data.can_allocate`), so a command can check this
-    before it locks or stages anything. It names train.batch_size when the
-    parameter, velocity and gradient vectors alone fit, else model.layers."""
-    size = step_bytes(config)
+    of `config` on a split of `n_examples` rows (see `data.can_allocate`),
+    so a command can check this before it locks or stages anything. It
+    names train.batch_size when the parameter, velocity and gradient vectors
+    alone fit, else model.layers."""
+    size = step_bytes(config, n_examples)
     if can_allocate(size):
         return
     if can_allocate(24 * param_count(config.model)):

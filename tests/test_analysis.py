@@ -13,7 +13,8 @@ from snapens.analysis import (
 from snapens.data import gen_two_moons
 from snapens.ensemble import PredictionMatrix
 from snapens.errors import InputError, UndefinedCorrelationError
-from snapens.nn import ModelSpec, evaluate_error, init_params
+import snapens.analysis as analysis_mod
+from snapens.nn import SGD_BLOCK, ModelSpec, evaluate_error, init_params
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +124,19 @@ def test_correlation_input_validation():
 def test_mean_offdiagonal():
     values = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.6], [0.4, 0.6, 1.0]])
     assert mean_offdiagonal(CorrelationMatrix(values)) == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("length", [1, SGD_BLOCK - 1, SGD_BLOCK + 1, 269_322])
+def test_blocked_mix_matches_the_whole_vector_mix_bit_for_bit(monkeypatch, length):
+    """Each interior point is mixed a block at a time into one vector, with
+    the bits of `lam*theta1 + (1-lam)*theta2` over whole vectors, on the
+    51-point grid and through signed zeros."""
+    rng = np.random.default_rng(length)
+    theta1, theta2 = rng.normal(size=(2, length)) * 10.0 ** rng.integers(-300, 300, (2, length))
+    theta1[1::3], theta2[2::5], theta2[3::7] = -0.0, 0.0, -0.0  # both -0.0 at 10, 31, ...
+    points = []
+    monkeypatch.setattr(analysis_mod, "evaluate_error", lambda spec, point, ds: points.append(point.tobytes()) or 0.0)
+    grid = default_lambda_grid()
+    interpolate(None, theta1, theta2, None, grid)
+    whole = [(np.multiply(theta1, lam) + np.multiply(theta2, 1.0 - lam)).tobytes() for lam in grid[1:-1]]
+    assert points == [theta2.tobytes(), *whole, theta1.tobytes()]

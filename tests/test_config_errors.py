@@ -174,17 +174,52 @@ def test_unallocatable_model_layers_exits_2_before_anything_is_staged(
     )
 
 
-# A batch whose activations no process can allocate on a net whose three
-# parameter-sized vectors fit: a 2,8,2 step holds 80 bytes a row plus 1,008.
+# A batch whose activations cannot be allocated in `snapens_limited`'s 2 GiB
+# on a net whose three parameter-sized vectors (120 MB) fit there: a step of
+# 2,1000000,2 holds 8,000,016 bytes a row, and a batch holds at most the
+# 10,000 rows of a 20,000-row two-moons split.
+WIDE_LAYERS, WIDE_PARAMS = "2,1000000,2", 5_000_002
+WIDE_STEP_BYTES = 8 * (3 * WIDE_PARAMS + 10_000 * 1_000_002)
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("batch_size", [10**12, 10**20])
-def test_unallocatable_batch_size_exits_2_naming_it(tmp_path, monkeypatch, capsys, command, batch_size):
-    text = config_text("runs/b").replace("train.batch_size = 5", f"train.batch_size = {batch_size}")
-    assert run(command, tmp_path, monkeypatch, capsys, text) == (
+def test_unallocatable_batch_size_exits_2_naming_it(tmp_path, command, batch_size):
+    (tmp_path / "cfgs").mkdir()
+    text = config_text("runs/b", layers=WIDE_LAYERS, params="n=20000,noise=0.1,seed=3")
+    (tmp_path / "cfgs" / "b_bad.cfg").write_text(text.replace("train.batch_size = 5", f"train.batch_size = {batch_size}"))
+    if command == "sweep":
+        (tmp_path / "cfgs" / "a_good.cfg").write_text(config_text("runs/a_good"))
+    bad = os.path.join("cfgs", "b_bad.cfg")
+    proc = snapens_limited([command, bad if command == "train" else "cfgs"], tmp_path, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
         2,
-        f"config error: {{cfg}}: train.batch_size: {batch_size} needs {80 * batch_size + 1008} bytes "
-        "per training step, more than this process can allocate\n",
+        f"config error: {bad}: train.batch_size: {batch_size} needs "
+        f"{WIDE_STEP_BYTES} bytes per training step, more than this process can allocate\n",
     )
+    assert not (tmp_path / "runs").exists()
+
+
+# A step holds at most the split's rows, so a batch size past the 10-row
+# training split trains it as one batch of 10: the same snapshots as
+# batch_size = 10, whose config digest alone differs.
+def test_a_batch_larger_than_the_split_trains_the_snapshots_of_the_whole_split(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for name, batch_size in (("huge", 10**12), ("whole", 10)):
+        (tmp_path / f"{name}.cfg").write_text(
+            config_text(f"runs/{name}").replace("train.batch_size = 5", f"train.batch_size = {batch_size}")
+        )
+        assert main(["train", f"{name}.cfg"]) == 0
+        runs[name] = sorted((tmp_path / "runs" / name).glob("snap_*.snap"))
+    assert [path.name for path in runs["huge"]] == [path.name for path in runs["whole"]] != []
+    for huge, whole in zip(runs["huge"], runs["whole"]):
+        (huge_header, huge_payload), (whole_header, whole_payload) = (
+            path.read_bytes().split(b"\n\n", 1) for path in (huge, whole)
+        )
+        assert huge_payload == whole_payload
+        changed = set(huge_header.split(b"\n")) ^ set(whole_header.split(b"\n"))
+        assert {line.split(b"=")[0] for line in changed} == {b"config_digest"}
 
 
 # Generated data that no process can allocate: 10**12 rows need 24 TB, and
@@ -254,10 +289,11 @@ def integer_keys():
                 yield key
 
 
-# Each integer key or generator parameter is a size, a seed or a time budget.
-# A size too large exits 2 naming it; a seed is a valid value; a budget runs.
+# Each integer key or generator parameter is a size, a seed, a time budget
+# or a batch. A size too large exits 2 naming it; a seed is a valid value; a
+# budget runs; a batch is capped by the 10-row split, so the run trains.
 INTEGER_KINDS = {
-    "model.layers": "size", "schedule.cycles": "size", "train.batch_size": "size",
+    "model.layers": "size", "schedule.cycles": "size", "train.batch_size": "batch",
     "train.epochs": "budget", "train.seed": "seed", "n": "size", "classes": "size", "seed": "seed",
 }
 INTEGER_CASES = [
@@ -299,7 +335,7 @@ def test_every_integer_key_at_a_huge_value(tmp_path, name, source, value):
         return
     proc = snapens_limited(["train", "exp.cfg"], tmp_path, timeout=60)
     assert "Traceback" not in proc.stderr
-    if kind == "seed":
+    if kind in ("seed", "batch"):
         assert proc.returncode == 0, proc.stderr
     else:
         assert proc.returncode == 2, proc.stderr

@@ -1,4 +1,5 @@
-"""A command's peak memory does not grow with its run's snapshot count.
+"""A command's peak memory does not grow with its run's snapshot count, and
+`interpolate` holds one mixing vector beside its pair.
 
 numpy reports its buffers to tracemalloc, so the peak traced memory of one
 command counts every parameter vector it holds at once. `train` and each eval
@@ -9,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import cpus
 from snapens.cli import main
 from snapens.nn import ModelSpec, param_count
 
@@ -75,3 +77,22 @@ def test_eval_peak_does_not_grow_with_the_snapshot_count(runs, tmp_path, capsys,
         out.mkdir()
         peaks[m] = peak_bytes(argv + [arg.format(out=out) for arg in command[1:]])
     assert peaks[8] - peaks[2] < SNAPSHOT_BYTES, peaks
+
+
+WIDE_BYTES = 8 * param_count(ModelSpec((2, 1024, 1024, 2)))  # 8.4 MB
+
+
+def test_interpolate_holds_its_pair_one_mixing_vector_and_one_block(tmp_path, monkeypatch, capsys):
+    """`interpolate` mixes each point into one vector, a block at a time, so
+    on a net whose parameters dwarf its 20-row activations it peaks less
+    than 1.25 parameter vectors above the pair it holds (1.08, against 2.05
+    with a second full vector)."""
+    cfg = tmp_path / "wide.cfg"
+    text = CFG.format(cycles=2, out=tmp_path / "run")
+    cfg.write_text(text.replace("2,256,256,2", "2,1024,1024,2").replace("n=200,", "n=40,"))
+    assert main(["train", str(cfg)]) == 0
+    cpus(monkeypatch, 1)  # the grid's points stay in this process
+    run = tmp_path / "run"
+    peak = peak_bytes(["interpolate", "--manifest", str(run / "run.manifest"), "--data", str(run / "test.csv"),
+                       "--pair", "1", "2", "--points", "5", "--out", str(tmp_path / "interp")])
+    assert peak - 2 * WIDE_BYTES < 1.25 * WIDE_BYTES, peak / WIDE_BYTES

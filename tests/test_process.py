@@ -1,6 +1,6 @@
-"""The process entry: `python -m snapens` runs at one BLAS thread, with the
-malloc policy of `set_malloc_policy` and its imported heap frozen, and only
-the entry does any of these."""
+"""The process entry: `python -m snapens` runs without OpenSSL's `_hashlib`,
+at one BLAS thread, with the malloc policy of `set_malloc_policy` and its
+imported heap frozen, and only the entry does any of these."""
 import ctypes
 import gc
 import pathlib
@@ -17,9 +17,11 @@ from conftest import SRC, subprocess_env
 from oracles import write_idx_pair
 from snapens import cli, cmdline, process
 from snapens.cli import main
+from snapens.config import parse_config
 from snapens.data import save_csv
 from snapens.process import _openblas_function, set_blas_threads, set_malloc_policy
 from snapens.store import save_run
+from snapens.trainer import config_digest
 
 # Runs `python -m snapens ARGS` as the benchmark does and, at exit, writes the
 # freeze count to the file named first, so the hooks are seen to run.
@@ -70,7 +72,7 @@ def test_in_process_main_leaves_the_blas_threads(tmp_path, eval_inputs):
 
 
 def test_only_the_process_entry_freezes_or_sets_blas_threads():
-    pattern = re.compile(r"gc\.freeze|set_blas_threads\(|set_num_threads|mallopt|set_malloc_policy\(")
+    pattern = re.compile(r"gc\.freeze|set_blas_threads\(|set_num_threads|mallopt|set_malloc_policy\(|_hashlib")
     users = {path.name for path in (SRC / "snapens").glob("*.py") if pattern.search(path.read_text())}
     assert users == {"process.py"}
 
@@ -88,10 +90,56 @@ def test_the_entry_sets_the_malloc_policy_once_between_the_parse_and_the_run(mon
     monkeypatch.setattr(cmdline, "parse", record("parse", cmdline.parse))
     monkeypatch.setattr(cli, "load", record("load", cli.load))
     monkeypatch.setattr(cli, "run", record("run"))
+    monkeypatch.setattr(process, "block_openssl_hashes", record("hashes"))
     monkeypatch.setattr(process, "set_blas_threads", record("blas"))
     monkeypatch.setattr(process, "set_malloc_policy", record("malloc"))
     assert process.entry(["gen-data", "--source", "two_moons", "--out", "x.csv"]) == 0
-    assert calls == ["freeze", "parse", "load", "blas", "malloc", "freeze", "run"]
+    assert calls == ["freeze", "parse", "hashes", "load", "blas", "malloc", "freeze", "run"]
+
+
+# Runs the entry on `gen-data` (which imports `hashlib` through
+# `numpy.random`) after `setup`, then prints the type of what `sys.modules`
+# holds for `_hashlib` and the config digest of the recipe named first.
+ENTRY_HASHES = """
+import sys
+{setup}
+from snapens import process
+process.entry(["gen-data", "--source", "spirals", "--n", "20", "--out", "s.csv"])
+from snapens.config import parse_config
+from snapens.trainer import config_digest
+print(type(sys.modules.get("_hashlib", "absent")).__name__, config_digest(parse_config(sys.argv[1]).train).hex())
+"""
+HIDE_BLAKE2 = """
+import importlib.util
+real_find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, *rest: None if name == "_blake2" else real_find_spec(name, *rest)
+"""
+
+
+@pytest.mark.parametrize("setup, held", [
+    ("", "NoneType"),
+    (HIDE_BLAKE2, "module"),  # a build without the built-in BLAKE2 keeps OpenSSL's
+    ("import _hashlib", "module"),  # what is loaded stays
+], ids=["blocked", "without_blake2", "loaded_before"])
+def test_the_entry_keeps_openssls_hashes_out_only_where_it_can(tmp_path, setup, held):
+    recipe = SRC.parent / "recipes" / "error_curve.cfg"
+    proc = subprocess.run([sys.executable, "-c", ENTRY_HASHES.format(setup=setup), str(recipe)], cwd=tmp_path,
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    kind, digest = proc.stdout.splitlines()[-1].split()
+    assert kind == held
+    assert digest == config_digest(parse_config(recipe).train).hex()
+
+
+def test_in_process_main_keeps_openssls_hashes(monkeypatch, tmp_path):
+    def refuse():
+        raise AssertionError("cli.main blocked _hashlib")
+
+    monkeypatch.setattr(process, "block_openssl_hashes", refuse)
+    before = sys.modules.get("_hashlib", "absent")
+    assert main(["gen-data", "--source", "two_moons", "--n", "20", "--out", str(tmp_path / "m.csv")]) == 0
+    assert sys.modules.get("_hashlib", "absent") is before is not None
 
 
 def test_in_process_main_keeps_the_allocator(monkeypatch, tmp_path):

@@ -27,13 +27,16 @@ atexit.register(report)
 sys.argv = ["snapens"] + sys.argv[2:]
 runpy.run_module("snapens", run_name="__main__", alter_sys=True)
 """
-# A second probe, run before PROBE: at exit, it writes which of numpy and
-# ctypes were loaded to the file named first, with `.numpy` appended.
+# A second probe, run before PROBE: at exit, it writes which of numpy,
+# ctypes, hashlib and OpenSSL's `_hashlib` were loaded as modules to the file
+# named first, with `.numpy` appended. The entry keeps `_hashlib` out with a
+# None entry in `sys.modules`, so the probe tests for a module, not a name.
 NUMPY_PROBE = """
-import atexit, sys
+import atexit, sys, types
 def report_numpy(path=sys.argv[1] + ".numpy"):
     with open(path, "w") as fh:
-        fh.write(" ".join(m for m in ("numpy", "ctypes") if m in sys.modules))
+        names = ("numpy", "ctypes", "hashlib", "_hashlib")
+        fh.write(" ".join(m for m in names if isinstance(sys.modules.get(m), types.ModuleType)))
 atexit.register(report_numpy)
 """
 # What `snapens --help` and a usage error may load: no `snapens.cli`.
@@ -79,7 +82,7 @@ GOLDEN_USAGE = {
 
 def probe(tmp_path, argv, code=0):
     """The snapens modules `python -m snapens ARGV` loaded, which must exit
-    with `code`, and which of numpy and ctypes it loaded."""
+    with `code`, and which of numpy, ctypes, hashlib and `_hashlib` it loaded."""
     report = tmp_path / "modules.txt"
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE + PROBE, str(report), *argv],
@@ -144,7 +147,8 @@ def test_eval_commands_leave_the_training_modules_out(tiny_run, moons200, tmp_pa
         "interpolate": ["interpolate", *inputs, "--pair", "1", "4", "--points", "3", "--out", "interp"],
     }
     for label, argv in commands.items():
-        loaded = loaded_modules(tmp_path, argv)
+        loaded, heavy = probe(tmp_path, argv)
+        assert "_hashlib" not in heavy, label
         assert "snapens.cli" in loaded, label
         assert loaded & (TRAINING_MODULES | {"snapens.sweep", "snapens.pool"}) == set(), label
         if label in ("ensemble", "curve"):
@@ -159,6 +163,21 @@ def test_train_loads_the_training_modules(tmp_path):
     assert "snapens.sweep" not in loaded
     assert loaded & {"snapens.ensemble", "snapens.analysis"} == set()
     assert (tmp_path / "run" / "run.manifest").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "gen-data"])
+def test_the_commands_that_load_hashlib_never_load_openssls_hash_module(tmp_path, command):
+    (tmp_path / "cfgs").mkdir()
+    cfg = tmp_path / "cfgs" / "moons.cfg"
+    cfg.write_text(MOONS_CFG.format(out=tmp_path / "run"))
+    argv = {
+        "train": ["train", str(cfg)],
+        "sweep": ["sweep", str(tmp_path / "cfgs")],
+        "gen-data": ["gen-data", "--source", "spirals", "--out", "s.csv"],
+    }[command]
+    heavy = probe(tmp_path, argv)[1]
+    assert {"numpy", "hashlib"} <= heavy
+    assert "_hashlib" not in heavy
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN_USAGE))

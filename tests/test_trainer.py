@@ -1,10 +1,13 @@
 import copy
+import functools
 import math
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snapens.config import ExperimentConfig, build_datasets, parse_config, resolve_train_config
 from snapens.data import gen_blobs, gen_two_moons
@@ -12,8 +15,9 @@ from snapens.errors import ConfigError, DivergenceError, InputError, StorageErro
 from snapens.nn import Batch, ModelSpec, init_params, loss_and_grad, param_count
 from snapens.schedule import ScheduleSpec, cycle_end_iterations, lr_at
 from snapens.store import save_run
+from snapens.nn import SGD_BLOCK
 from snapens.trainer import (
-    SGD_BLOCK,
+    MODE_SCHEDULE,
     TrainConfig,
     config_digest,
     derive_seed,
@@ -441,6 +445,67 @@ def test_stacked_runs_match_their_lone_runs_byte_for_byte(size):
         window = groups[first : first + size]
         stacked = train_stack([(configs, data, None) for configs in window])
         assert [[run_key(run) for run in runs] for runs in stacked] == alone[first : first + size]
+
+
+@functools.cache
+def drawn_split(source, n, classes):
+    return gen_two_moons(n, 0.1, seed=0) if source == "moons" else gen_blobs(n, classes, 0.5, seed=1)
+
+
+@st.composite
+def drawn_stacks(draw):
+    """1-5 groups of one loop shape, as (configs, split) pairs: each group
+    draws its mode, learning rate (up to 1e6, so a row may diverge),
+    dropout, weight decay, momentum and seed, trains on one of two splits
+    of the loop's size, and a step-schedule group may hold a second run on
+    its trajectory."""
+    layers = draw(st.sampled_from([(2, 4, 2), (2, 8, 8, 2), (2, 6, 3)]))
+    n, batch_size, epochs = 2 * draw(st.integers(3, 20)), draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    total = iterations_for(n, batch_size, epochs)
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        mode = draw(st.sampled_from(sorted(MODE_SCHEDULE)))
+        alpha0 = draw(st.sampled_from([0.05, 0.5, 1e3, 1e6]))
+        if MODE_SCHEDULE[mode] == "cyclic_cosine":
+            length = math.ceil(total / draw(st.integers(1, total)))
+            schedule = ScheduleSpec("cyclic_cosine", alpha0, total, math.ceil(total / length))
+        else:
+            schedule = ScheduleSpec("step", alpha0, total)
+        config = TrainConfig(
+            ModelSpec(layers, dropout_rate=draw(st.sampled_from([0.0, 0.3]))), schedule, mode, epochs, batch_size,
+            momentum=draw(st.floats(0.0, 0.9)), seed=draw(st.integers(0, 2**32)),
+            snapshot_count=draw(st.integers(1, total)) if mode == "nocycle" else None,
+            weight_decay=draw(st.sampled_from([0.0, 1e-3])),
+        )
+        configs = [config]
+        if mode in ("single", "nocycle") and draw(st.booleans()):
+            configs.append(replace(config, mode="nocycle", snapshot_count=draw(st.integers(1, total))))
+        groups.append((configs, drawn_split(draw(st.sampled_from(["moons", "blobs"])), n, layers[-1])))
+    return groups
+
+
+@given(drawn_stacks())
+@settings(max_examples=300, deadline=None)
+def test_a_drawn_stack_gives_each_group_the_runs_it_gets_alone(groups):
+    """Up to and including the first group that fails alone, each group's
+    runs in a stack equal its runs trained alone; the failing group's entry
+    is the error of its earliest-failing run."""
+    with np.errstate(all="ignore"):
+        stacked = train_stack([(configs, data, None) for configs, data in groups])
+        for k, (configs, data) in enumerate(groups):
+            alone = []
+            for config in configs:
+                try:
+                    alone.append(run_key(train(config, data)))
+                except DivergenceError as exc:
+                    alone.append(exc)
+            failed = [run.iteration for run in alone if isinstance(run, DivergenceError)]
+            if failed:
+                assert len(stacked) == k + 1 and isinstance(stacked[k], DivergenceError)
+                assert stacked[k].iteration == min(failed)
+                return
+            assert [run_key(run) for run in stacked[k]] == alone
+    assert len(stacked) == len(groups)
 
 
 def test_stacked_groups_may_train_on_different_splits_of_one_size():
