@@ -7,11 +7,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .cmdline import POINTS
 from .errors import InputError, UndefinedCorrelationError
 from .ensemble import PredictionMatrix
 from .nn import SGD_BLOCK, ModelSpec, ParamVector, evaluate_error
-
-DEFAULT_LAMBDA_POINTS = 51
 
 
 @dataclass
@@ -25,7 +24,7 @@ class InterpolationCurve:
     errors: np.ndarray
 
 
-def default_lambda_grid(points: int = DEFAULT_LAMBDA_POINTS) -> np.ndarray:
+def default_lambda_grid(points: int = POINTS) -> np.ndarray:
     if points < 1:
         raise InputError(f"a lambda grid needs at least 1 point, got {points}")
     return np.linspace(0.0, 1.0, points)

@@ -269,11 +269,6 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def _check_snapshot_index(i: int, count: int) -> None:
-    if not 1 <= i <= count:
-        raise InputError(f"snapshot index {i} outside valid range [1, {count}]")
-
-
 # `interpolate` splits its grid over forked workers only when its serial
 # forward work, (pairs x points) passes x rows x parameters, is above this.
 # On a 2-vCPU host a fork, the pinned child's first 6,000-row 2-64-64-2
@@ -284,32 +279,21 @@ FORK_MIN_WORK = 2e8
 
 
 def _curve_tasks(records, dataset, pairs, grid):
-    """One task per pair that returns its InterpolationCurve on `grid`. The
-    tasks share one memo of each snapshot's error, so run in order they
-    score each snapshot at most once. A task reads the parameters of its
-    pair's second snapshot, and of its first unless the task before it had
-    the same first one, as every `--against-final` pair does: so each
-    snapshot is read once and at most one pair is held."""
-    scored = {}  # snapshot index -> its test error
-    held = {}  # index -> parameters of the last task's first snapshot
+    """One task per pair that returns its InterpolationCurve on `grid`. Run
+    in order, the tasks hold the last task's first snapshot: its parameters
+    and, once scored, its lambda = 1 error. Every `--against-final` pair
+    shares its first snapshot, so that one is read and scored once, each
+    pair's second snapshot is read once, and at most one pair is held."""
+    held = [None, None, None]  # the last task's first snapshot: its index, parameters and lambda = 1 error
 
     def curve_of(i, j):
-        if i not in held:
-            held.clear()
-            held[i] = records[i - 1].params
-        curve = interpolate(
-            records[i - 1].spec,
-            held[i],
-            held[i] if j == i else records[j - 1].params,
-            dataset,
-            grid,
-            scored.get(i),
-            scored.get(j),
-        )
+        if held[0] != i:
+            held[:] = [i, records[i - 1].params, None]
+        _, theta1, error1 = held
+        theta2 = theta1 if j == i else records[j - 1].params
+        curve = interpolate(records[i - 1].spec, theta1, theta2, dataset, grid, error1)
         if grid[-1] == 1.0:
-            scored[i] = curve.errors[-1]
-        if grid[0] == 0.0:
-            scored[j] = curve.errors[0]
+            held[2] = curve.errors[-1]
         return curve
 
     return [partial(curve_of, i, j) for i, j in pairs]
@@ -322,9 +306,10 @@ def _write_curve(path, grid, errors):
 def _split_curves(records, dataset, pairs, grid, paths, workers):
     """Compute each pair's errors on `grid` on `workers` processes, then
     write each pair's curve to its path, in pair order: worker w runs every
-    pair on grid[w::workers]. Share 0 holds every lambda = 0 point and share
-    (len(grid) - 1) % workers every lambda = 1 point, so each snapshot is
-    still scored once. An error stops the curves at the first pair it hit,
+    pair on grid[w::workers]. Share (len(grid) - 1) % workers holds every
+    lambda = 1 point, the shared first snapshot's, so that snapshot is still
+    scored once; each lambda = 0 point is its own pair's second snapshot,
+    scored once in share 0. An error stops the curves at the first pair it hit,
     as in a serial run."""
     import numpy as np
 
@@ -356,9 +341,9 @@ def cmd_interpolate(args) -> int:
     if args.points >= 1 and not can_allocate(size):
         raise InputError(f"--points {args.points} needs {size} bytes, more than this process can allocate")
     grid = default_lambda_grid(args.points)
-    for i, j in pairs:
-        _check_snapshot_index(i, count)
-        _check_snapshot_index(j, count)
+    for index in (index for pair in pairs for index in pair):
+        if not 1 <= index <= count:
+            raise InputError(f"snapshot index {index} outside valid range [1, {count}]")
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, f"interp_{i:03d}_{j:03d}.csv") for i, j in pairs]
     workers = 1

@@ -3,7 +3,7 @@
 This module imports only `argparse` and `sys`, so `--help` and a usage
 error, which exit in `parse`, load no other snapens module and no numpy.
 It also holds the choices the parser offers that name library values:
-`data.GENERATORS` and `ensemble.ORDERS` take theirs from here.
+`data.GENERATORS`, `ensemble.ORDERS` and the lambda grid take theirs here.
 """
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ import argparse
 import sys
 
 # The synthetic data sources (`gen-data --source`, `data.source`), in
-# `data.GENERATORS` order, and the member orders of `ensemble --order`.
+# `data.GENERATORS` order, the member orders of `ensemble --order`, and the
+# default of `interpolate --points`, which `analysis.default_lambda_grid` takes.
 SOURCES = ("two_moons", "spirals", "blobs")
 ORDERS = ("latest", "earliest")
+POINTS = 51
 
 # Each command: its help line and the home modules of the names it calls.
 # Only `sweep`, `train` and a split `interpolate` load the worker code in
@@ -58,7 +60,7 @@ def _add_arguments(p, command):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"))
         group.add_argument("--against-final", action="store_true")
-        p.add_argument("--points", type=int, default=51)
+        p.add_argument("--points", type=int, default=POINTS)
         p.add_argument("--out", required=True, help="output directory for curve CSVs")
     elif command == "correlate":
         p.add_argument("--out", required=True, help="output directory")

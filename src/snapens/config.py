@@ -5,10 +5,12 @@ training mode and budget, the data source and the output directory. Unknown
 keys are rejected. `train.mode` fixes the schedule kind, so `schedule.kind`
 is optional and, when given, must match it. In nocycle mode `schedule.cycles`
 gives the snapshot count, mirroring the cycle count of the cyclic runs it is
-compared against. Value rules live in the spec constructors: `parse_config`
-builds and keeps the `TrainConfig` on a stand-in split of one batch per
-cycle, and `resolve_train_config` gives it the real iteration count, on which
-the constructors check the rules that need it (the cycles or snapshots fit T).
+compared against. Each key is declared once, with its default, in
+`_DEFAULTS`, and each data source's `data.params` keys in `_SOURCES`. Value
+rules live in the spec constructors: `parse_config` builds and keeps the
+`TrainConfig` on a stand-in split of one batch per cycle, and
+`resolve_train_config` gives it the real iteration count, on which the
+constructors check the rules that need it (the cycles or snapshots fit T).
 """
 from __future__ import annotations
 
@@ -17,47 +19,43 @@ from dataclasses import dataclass, replace
 from .data import GENERATORS, Dataset, load_csv, load_idx, normalize, split
 from .errors import ConfigError, InputError
 from .nn import ModelSpec
-from .schedule import DEFAULT_STEP_FRACTIONS, ScheduleSpec
+from .schedule import ScheduleSpec
 from .trainer import TrainConfig, _schedule_kind, iterations_for
 
-KNOWN_KEYS = frozenset(
-    {
-        "model.layers",
-        "model.dropout",
-        "schedule.kind",
-        "schedule.alpha0",
-        "schedule.cycles",
-        "schedule.step_fractions",
-        "train.mode",
-        "train.epochs",
-        "train.batch_size",
-        "train.momentum",
-        "train.weight_decay",
-        "train.seed",
-        "data.source",
-        "data.params",
-        "output.dir",
-    }
-)
+REQUIRED = object()  # the default of a key, or of a `data.params` key, that must be given
 
-_REQUIRED_KEYS = (
-    "model.layers",
-    "schedule.alpha0",
-    "train.mode",
-    "train.epochs",
-    "train.batch_size",
-    "train.seed",
-    "data.source",
-    "output.dir",
-)
-
-_SOURCE_PARAMS = {
-    **{source: {name for name, _ in params} for source, (_, params) in GENERATORS.items()},
-    "csv": {"path", "label"},
-    "idx": {"images", "labels"},
+# Every config key with its default, in the order a missing key is reported.
+# The optional defaults are those of the spec fields; `train.mode` sets
+# `schedule.kind`, and `schedule.cycles` has no default.
+_DEFAULTS = {
+    "model.layers": REQUIRED,
+    "model.dropout": ModelSpec.dropout_rate,
+    "schedule.kind": None,
+    "schedule.alpha0": REQUIRED,
+    "schedule.cycles": None,
+    "schedule.step_fractions": ScheduleSpec.step_fractions,
+    "train.mode": REQUIRED,
+    "train.epochs": REQUIRED,
+    "train.batch_size": REQUIRED,
+    "train.momentum": TrainConfig.momentum,
+    "train.weight_decay": TrainConfig.weight_decay,
+    "train.seed": REQUIRED,
+    "data.source": REQUIRED,
+    "data.params": "",
+    "output.dir": REQUIRED,
 }
-_COMMON_PARAMS = {"train_fraction", "split_seed", "normalize"}
-_INPUT_FILE_PARAMS = {"csv": ("path",), "idx": ("images", "labels")}
+KNOWN_KEYS = frozenset(_DEFAULTS)
+
+# Each data source -> (loader, ((param, default or REQUIRED), ...)): the
+# loader's positional arguments in order, named as `data.params` keys. The
+# file sources call `load_csv` and `load_idx` by their names in this module.
+_SOURCES = {
+    **GENERATORS,
+    "csv": (lambda *args: load_csv(*args), (("path", REQUIRED), ("label", "label"))),
+    "idx": (lambda *args: load_idx(*args), (("images", REQUIRED), ("labels", REQUIRED))),
+}
+# The `data.params` keys of every source: the split's, then the normalize switch.
+_COMMON_PARAMS = (("train_fraction", 0.5), ("split_seed", 0), ("normalize", False))
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,10 @@ def _parse_kv_lines(path) -> dict[str, str]:
     return values
 
 
-def _parse(values, key, convert, default=None):
-    """`convert(values[key])`, or `default` when the file omits the key."""
+def _parse(values, key, convert):
+    """`convert(values[key])`, or the key's default when the file omits it."""
     if key not in values:
-        return default
+        return _DEFAULTS[key]
     try:
         return convert(values[key])
     except ValueError:
@@ -118,7 +116,7 @@ def _parse_data_params(text: str, source: str) -> dict[str, str]:
     params: dict[str, str] = {}
     if not text.strip():
         return params
-    allowed = _SOURCE_PARAMS[source] | _COMMON_PARAMS
+    allowed = {key for key, _ in (*_SOURCES[source][1], *_COMMON_PARAMS)}
     for chunk in text.split(","):
         if "=" not in chunk:
             raise ConfigError(f"data.params: expected key=value, got {chunk.strip()!r}")
@@ -141,34 +139,34 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _experiment_config(values: dict[str, str]) -> ExperimentConfig:
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+    for key, default in _DEFAULTS.items():
+        if default is REQUIRED and key not in values:
             raise ConfigError(f"missing required key {key!r}")
 
     try:
         layers = tuple(int(s) for s in values["model.layers"].split(","))
     except ValueError:
         raise ConfigError(f"model.layers: not a comma list of integers: {values['model.layers']!r}") from None
-    dropout = _parse(values, "model.dropout", float, 0.0)
+    dropout = _parse(values, "model.dropout", float)
     try:
         model = ModelSpec(layers, "relu", dropout)
     except Exception as exc:
         raise ConfigError(f"model.layers/model.dropout: {exc}") from exc
 
     source = values["data.source"]
-    if source not in _SOURCE_PARAMS:
+    if source not in _SOURCES:
         raise ConfigError(f"data.source: unknown source {source!r}")
 
     alpha0 = _parse(values, "schedule.alpha0", float)
     cycles = _parse(values, "schedule.cycles", int)
-    step_fractions = _parse(values, "schedule.step_fractions", _parse_step_fractions, DEFAULT_STEP_FRACTIONS)
+    step_fractions = _parse(values, "schedule.step_fractions", _parse_step_fractions)
     mode = values["train.mode"]
     epochs = _parse(values, "train.epochs", int)
     batch_size = _parse(values, "train.batch_size", int)
-    momentum = _parse(values, "train.momentum", float, 0.9)
-    weight_decay = _parse(values, "train.weight_decay", float, 0.0)
+    momentum = _parse(values, "train.momentum", float)
+    weight_decay = _parse(values, "train.weight_decay", float)
     seed = _parse(values, "train.seed", int)
-    data_params = _parse_data_params(values.get("data.params", ""), source)
+    data_params = _parse_data_params(_parse(values, "data.params", str), source)
     # Build once on batch_size rows per cycle: T = epochs x cycles, so no rule
     # on total_iterations can fire and every value rule runs here.
     kind = values["schedule.kind"] if "schedule.kind" in values else _schedule_kind(mode)
@@ -198,11 +196,14 @@ def _experiment_config(values: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig(train, source, data_params, values["output.dir"])
 
 
-def _param(params: dict[str, str], key: str, default, convert):
+def _param(params: dict[str, str], key: str, default):
+    """The `data.params` value of `key` as the type of its default (text
+    where REQUIRED), or the default when `params` omits the key."""
     if key not in params:
-        if default is None:
+        if default is REQUIRED:
             raise ConfigError(f"data.params: missing required key {key!r}")
         return default
+    convert = str if default is REQUIRED else _flag if type(default) is bool else type(default)
     try:
         return convert(params[key])
     except (ValueError, KeyError):
@@ -225,30 +226,20 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     p = cfg.data_params
-    source = cfg.data_source
-    if source in GENERATORS:
-        generator, defaults = GENERATORS[source]
-        full = generator(*(_param(p, key, default, type(default)) for key, default in defaults))
-    elif source == "csv":
-        full = load_csv(_param(p, "path", None, str), _param(p, "label", "label", str))
-    else:
-        full = load_idx(_param(p, "images", None, str), _param(p, "labels", None, str))
-
-    train_set, test_set = split(
-        full, _param(p, "train_fraction", 0.5, float), _param(p, "split_seed", 0, int)
-    )
-    if _param(p, "normalize", False, _flag):
+    loader, params = _SOURCES[cfg.data_source]
+    full = loader(*(_param(p, *row) for row in params))
+    fraction, seed, scale = _COMMON_PARAMS
+    train_set, test_set = split(full, _param(p, *fraction), _param(p, *seed))
+    if _param(p, *scale):
         train_set, test_set, _ = normalize(train_set, test_set)
     return train_set, test_set
 
 
 def input_files(cfg: ExperimentConfig) -> list[str]:
-    """The files `build_datasets` reads for this config; generated data reads none."""
-    return [
-        cfg.data_params[key]
-        for key in _INPUT_FILE_PARAMS.get(cfg.data_source, ())
-        if key in cfg.data_params
-    ]
+    """The files `build_datasets` reads for this config: its source's
+    REQUIRED params; generated data reads none."""
+    params = _SOURCES[cfg.data_source][1]
+    return [cfg.data_params[key] for key, default in params if default is REQUIRED and key in cfg.data_params]
 
 
 def resolve_train_config(cfg: ExperimentConfig, n_train: int) -> TrainConfig:

@@ -18,8 +18,6 @@ from .errors import InputError
 
 KINDS = ("cyclic_cosine", "step")
 
-DEFAULT_STEP_FRACTIONS = ((0.5, 0.1), (0.75, 0.1))
-
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -27,7 +25,7 @@ class ScheduleSpec:
     alpha0: float
     total_iterations: int
     cycles: int | None = None
-    step_fractions: tuple[tuple[float, float], ...] = DEFAULT_STEP_FRACTIONS
+    step_fractions: tuple[tuple[float, float], ...] = ((0.5, 0.1), (0.75, 0.1))
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -1,7 +1,23 @@
+import pathlib
+import re
+from dataclasses import replace
+
 import pytest
 
-from snapens.config import build_datasets, parse_config, resolve_train_config
+from snapens.config import (
+    _COMMON_PARAMS,
+    _SOURCES,
+    KNOWN_KEYS,
+    REQUIRED,
+    build_datasets,
+    parse_config,
+    resolve_train_config,
+)
+from snapens.data import gen_two_moons, save_csv
 from snapens.errors import ConfigError
+from snapens.trainer import config_digest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 GOOD = """\
 # spiral snapshot run
@@ -193,3 +209,78 @@ def test_non_utf8_config_is_a_config_error(tmp_path):
     path.write_bytes(b"# r\xe9sum\xe9 of the spiral run\n" + GOOD.encode())
     with pytest.raises(ConfigError, match=r"latin1.cfg.*not UTF-8"):
         parse_config(path)
+
+
+SMALL = """\
+model.layers = 2,8,2
+schedule.alpha0 = 0.2
+train.mode = {mode}
+train.epochs = 2
+train.batch_size = 5
+train.seed = 1
+data.source = {source}
+data.params = {params}
+output.dir = runs/x
+"""
+
+# Each optional key: (mode, source, the line or `data.params` pair that
+# writes its default). The csv source reads a 20-row two-moons file.
+DEFAULT_WRITTEN = {
+    "model.dropout": ("single", "two_moons", "model.dropout = 0"),
+    "schedule.kind step": ("single", "two_moons", "schedule.kind = step"),
+    "schedule.kind cyclic": ("snapshot", "two_moons", "schedule.kind = cyclic_cosine"),
+    "schedule.step_fractions": ("nocycle", "two_moons", "schedule.step_fractions = 0.5:0.1,0.75:0.1"),
+    "train.momentum": ("single", "two_moons", "train.momentum = 0.9"),
+    "train.weight_decay": ("single", "two_moons", "train.weight_decay = 0"),
+    "train_fraction": ("single", "two_moons", "train_fraction=0.5"),
+    "split_seed": ("single", "two_moons", "split_seed=0"),
+    "normalize": ("single", "two_moons", "normalize=false"),
+    "csv label": ("single", "csv", "label=label"),
+}
+
+
+@pytest.mark.parametrize("key", DEFAULT_WRITTEN)
+def test_a_config_that_writes_a_default_runs_as_one_that_omits_it(tmp_path, key):
+    """The ExperimentConfigs are equal but for `data_params`, which keeps
+    the pairs as written; the resolved configs hash alike and the splits
+    are equal."""
+    mode, source, written = DEFAULT_WRITTEN[key]
+    save_csv(gen_two_moons(20, 0.1, seed=3), tmp_path / "moons.csv")
+    params = f"path={tmp_path / 'moons.csv'}" if source == "csv" else "n=20,noise=0.1,seed=3"
+    text = SMALL.format(mode=mode, source=source, params=params)
+    if mode != "single":
+        text += "schedule.cycles = 2\n"
+    if " = " in written:
+        texts = (text, text + written + "\n")
+    else:
+        texts = (text, text.replace(params, f"{params},{written}"))
+    omitted, given = (parse_config(write(tmp_path, each)) for each in texts)
+    assert replace(given, data_params=omitted.data_params) == omitted
+    splits = [build_datasets(cfg) for cfg in (omitted, given)]
+    assert config_digest(resolve_train_config(omitted, 10)) == config_digest(resolve_train_config(given, 10))
+    for first, second in zip(*splits):
+        assert first.inputs.tobytes() == second.inputs.tobytes()
+        assert first.labels.tobytes() == second.labels.tobytes()
+
+
+def config_files_section():
+    text = README.read_text()
+    start = text.index("## Config files\n")
+    return text[start : text.index("\n## ", start)]
+
+
+def test_the_readme_key_table_lists_every_config_key_once():
+    keys = re.findall(r"^\| `([a-z0-9_.]+)` \|", config_files_section(), re.M)
+    assert sorted(keys) == sorted(KNOWN_KEYS)
+
+
+def test_the_readme_names_every_data_params_key_with_its_default():
+    section = " ".join(config_files_section().split())
+    for key, default in _COMMON_PARAMS:
+        assert f"`{key}` (default {str(default).lower()}" in section
+    for source, (_, params) in _SOURCES.items():
+        named = ", ".join(
+            f"`{key}`" if default is REQUIRED else f"`{key}`={default if type(default) is str else f'{default:g}'}"
+            for key, default in params
+        )
+        assert f"{named} ({source})" in section

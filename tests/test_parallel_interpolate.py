@@ -1,15 +1,22 @@
 """`snapens interpolate` on forked workers: the serial bytes, errors and when it stays serial."""
+import contextlib
 import hashlib
+import io
 import os
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import snapens.analysis as analysis_mod
 import snapens.cli as cli_mod
+from snapens import ModelSpec, ScheduleSpec, TrainConfig, iterations_for, train
 from snapens.cli import main
-from snapens.data import save_csv
+from snapens.data import gen_blobs, gen_two_moons, save_csv
 from snapens.errors import InputError
 from snapens.store import save_run
 
@@ -175,3 +182,75 @@ def test_work_below_the_constant_stays_serial(eval_inputs, tmp_path, monkeypatch
     cpus(monkeypatch, 2)
     no_fork(monkeypatch)
     assert interpolate_into(tmp_path / "out", eval_inputs, RUNS[run][0], capsys)[0] == 0
+
+
+@st.composite
+def drawn_commands(draw):
+    """A small run, as (layers, even rows, source, snapshots), and an
+    `interpolate` argv tail: `--against-final` or a pair, I = J allowed, at
+    1-9 points."""
+    run = (draw(st.sampled_from([(2, 8, 2), (2, 6, 3)])), 2 * draw(st.integers(10, 30)),
+           draw(st.sampled_from(["moons", "blobs"])), draw(st.integers(2, 5)))
+    pair = ["--pair", *(str(draw(st.integers(1, run[3]))) for _ in "IJ")]
+    tail = ["--against-final"] if draw(st.booleans()) else pair
+    return run, [*tail, "--points", str(draw(st.integers(1, 9)))]
+
+
+def save_drawn_run(root, layers, rows, source, snapshots):
+    """`--manifest` and `--data` arguments for a run of `snapshots` cycles
+    of one epoch each on `rows` rows, which are also its eval data."""
+    data = gen_two_moons(rows, 0.1, seed=3) if source == "moons" else gen_blobs(rows, layers[-1], 0.5, seed=3)
+    total = iterations_for(rows, 10, snapshots)
+    config = TrainConfig(ModelSpec(layers), ScheduleSpec("cyclic_cosine", 0.2, total, snapshots),
+                         "snapshot", epochs=snapshots, batch_size=10, seed=rows)
+    manifest_path = save_run(train(config, data), root / "run")
+    save_csv(data, root / "data.csv")
+    return ["--manifest", str(manifest_path), "--data", str(root / "data.csv")]
+
+
+def scored_interpolate(out, argv, monkeypatch):
+    """What `interpolate_into` returns, with the `evaluate_error` calls the
+    command's processes made between them."""
+    log = out.with_suffix(".log")
+    real_error = analysis_mod.evaluate_error
+
+    def logged_error(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_error(*args)
+
+    monkeypatch.setattr(analysis_mod, "evaluate_error", logged_error)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["interpolate", *argv, "--out", str(out)])
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    calls = len(log.read_text().split()) if log.exists() else 0
+    return (code, files, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue()), calls
+
+
+# ROADMAP item 14 (c). The tasks hold the shared first snapshot's lambda = 1
+# error, so --against-final at P >= 2 points over M snapshots makes
+# M + (M - 1)(P - 2) forward passes (M - 1 at P = 1), and one pair P.
+@given(drawn_commands())
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_drawn_interpolate_splits_into_the_serial_bytes_and_forward_passes(deadline, command):
+    (layers, rows, source, snapshots), tail = command
+    points = int(tail[-1])
+    if tail[0] == "--against-final":
+        expected = snapshots - 1 if points == 1 else snapshots + (snapshots - 1) * (points - 2)
+    else:
+        expected = points
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        root = Path(tmp)
+        argv = [*save_drawn_run(root, layers, rows, source, snapshots), *tail]
+        monkeypatch.setattr(cli_mod, "FORK_MIN_WORK", 0)
+        cpus(monkeypatch, 1)
+        no_fork(monkeypatch)
+        serial, serial_calls = scored_interpolate(root / "serial", argv, monkeypatch)
+        cpus(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        split, split_calls = scored_interpolate(root / "split", argv, monkeypatch)
+    assert serial[0] == 0 and serial[1]
+    assert split == serial
+    assert split_calls == serial_calls == expected
+    assert len(forks) == (points > 1)

@@ -1,14 +1,20 @@
 """`snapens sweep`: whole-sweep validation, parallel workers, errors across the fork."""
+import contextlib
 import hashlib
+import io
 import os
 import pickle
 import re
 import signal
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import snapens.cli as cli_mod
 import snapens.errors as errors_mod
@@ -450,3 +456,84 @@ def test_true_ensemble_manifest_script_combines_each_runs_final_snapshot(tmp_pat
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "m,ensemble_error"
     assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
+
+
+# 20-row sources, each split into 10 training rows; the two moons sets differ.
+DRAWN_SOURCES = [
+    ("two_moons", "n=20,noise=0.1,seed=3"),
+    ("two_moons", "n=20,noise=0.2,seed=4"),
+    ("blobs", "n=20,classes=2,spread=0.5,seed=3"),
+]
+DRAWN_CFG = """\
+model.layers = 2,8,2
+schedule.alpha0 = {alpha0}
+train.mode = {mode}
+train.epochs = {epochs}
+train.batch_size = 5
+train.seed = {seed}
+data.source = {source}
+data.params = {params}
+output.dir = runs/{name}
+"""
+
+
+@st.composite
+def drawn_sweeps(draw):
+    """2-5 config texts of one loop shape (a 2-8-2 net on 10 training rows,
+    batch 5, 2 or 3 epochs), by name. Each draws its mode, and its
+    trajectory (seed, learning rate and cycle count) and data source from
+    pools of 1-2 and 1-3, so configs often share a trajectory key, a split,
+    or one of them only."""
+    epochs = draw(st.integers(2, 3))  # T = 2 x epochs, which 1 or 2 cycles fit
+    trajectories = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0.1, 0.5]), st.integers(1, 2)),
+                                 min_size=1, max_size=2))
+    sources = draw(st.lists(st.sampled_from(DRAWN_SOURCES), min_size=1, max_size=3, unique=True))
+    texts = {}
+    for k in range(draw(st.integers(2, 5))):
+        mode = draw(st.sampled_from(["snapshot", "single", "nocycle", "singlecycle"]))
+        seed, alpha0, cycles = draw(st.sampled_from(trajectories))
+        source, params = draw(st.sampled_from(sources))
+        text = DRAWN_CFG.format(alpha0=alpha0, mode=mode, epochs=epochs, seed=seed, source=source,
+                                params=params, name=f"c{k}")
+        texts[f"c{k}"] = text + ("" if mode == "single" else f"schedule.cycles = {cycles}\n")
+    return texts
+
+
+def command_in(workdir, argv, monkeypatch):
+    """Exit code and stdout of `main(argv)` run in `workdir`, made if missing."""
+    workdir.mkdir(exist_ok=True)
+    monkeypatch.chdir(workdir)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return main(argv), out.getvalue()
+
+
+# ROADMAP item 14 (b): the groups, stacks, shares and split writers of a
+# sweep give every config the run directory `train` gives it, and the
+# sweep's summary row scores that run.
+@given(drawn_sweeps())
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_drawn_sweep_at_one_and_two_cpus_writes_what_train_writes(deadline, texts):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        root = Path(tmp)
+        (root / "cfgs").mkdir()
+        for name, text in texts.items():
+            (root / "cfgs" / f"{name}.cfg").write_text(text)
+        sweeps = []
+        for count in (1, 2):
+            cpus(monkeypatch, count)
+            sweeps.append(command_in(root / f"sweep{count}", ["sweep", str(root / "cfgs")], monkeypatch))
+        assert sweeps[0] == sweeps[1] and sweeps[0][0] == 0
+        assert (root / "sweep1" / "summary.csv").read_bytes() == (root / "sweep2" / "summary.csv").read_bytes()
+        lone = root / "train"
+        for name in texts:
+            assert command_in(lone, ["train", str(root / "cfgs" / f"{name}.cfg")], monkeypatch)[0] == 0
+        runs = [tree_digests(root / workdir / "runs") for workdir in ("sweep1", "sweep2", "train")]
+        assert runs[0] == runs[1] == runs[2]
+        rows = (root / "sweep1" / "summary.csv").read_text().splitlines()[1:]
+        for row in rows:
+            name, _, _, m, error = row.split(",")
+            run = lone / "runs" / name
+            argv = ["ensemble", "--manifest", str(run / "run.manifest"), "--data", str(run / "test.csv"), "--m", m]
+            assert command_in(lone, argv, monkeypatch)[1].splitlines()[1].split(",")[:2] == [m, error]
+        assert len(rows) == len(texts)
