@@ -38,7 +38,7 @@ from .errors import (
 # commands call.
 _IMPORTS = {
     "analysis": ("default_lambda_grid", "interpolate", "softmax_correlation"),
-    "config": ("build_datasets", "input_files", "parse_config", "resolve_train_config"),
+    "config": ("build_datasets", "data_key", "input_files", "parse_config", "resolve_train_config"),
     "data": ("GENERATORS", "can_allocate", "load_csv", "save_csv"),
     "ensemble": ("ensemble_eval", "ensemble_sweep", "error_over_time", "predict"),
     "nn": ("check_labels", "param_count"),
@@ -111,17 +111,17 @@ Experiment = namedtuple("Experiment", "path out_dir config train_set test_set")
 def load_experiment(path, cfg, built):
     """The Experiment of the parsed config `cfg` read from `path`.
 
-    Its split comes from `built`, keyed by data.source and data.params, and
-    is built into it when missing, so configs with the same data share one
-    split. Every check a run makes before its first step runs here, and each
-    failure names the config file: the data.params values, whether the data
-    files can be read (exit 4), whether the cycles or snapshots fit T, and
-    the feature count and the labels of both splits against the model
-    (naming the data file too), and whether this process can allocate a
-    training step of the model.
+    Its split comes from `built`, keyed by `config.data_key`, and is built
+    into it when missing, so configs with the same data share one split,
+    whether or not they write a default. Every check a run makes before its
+    first step runs here, and each failure names the config file: the
+    data.params values, whether the data files can be read (exit 4),
+    whether the cycles or snapshots fit T, and the feature count and the
+    labels of both splits against the model (naming the data file too), and
+    whether this process can allocate a training step of the model.
     """
-    key = (cfg.data_source, tuple(sorted(cfg.data_params.items())))
     try:
+        key = data_key(cfg)
         if key not in built:
             built[key] = build_datasets(cfg)
         train_set, test_set = built[key]
@@ -447,11 +447,15 @@ def load(command):
 def run(args) -> int:
     """Run the parsed command `args` with its function (command `NAME` runs
     `cmd_NAME`, `-` read as `_`) and return its exit code: each error this
-    package raises maps to 2, 3 or 4 with its message on stderr."""
+    package raises maps to 2, 3 or 4 with its message on stderr, and so does
+    a MemoryError no size check caught, to 2, naming the command."""
     try:
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ConfigError, InputError, UndefinedCorrelationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"config error: {args.command}: out of memory", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,13 +224,19 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise ConfigError(f"data.params: {exc}") from exc
 
 
-def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+def data_key(cfg: ExperimentConfig) -> tuple:
+    """The source of a config's data, its loader's arguments, and the split
+    and normalize arguments, as `build_datasets` passes them: converted, with
+    the defaults filled in. Configs with equal keys build equal splits."""
     p = cfg.data_params
-    loader, params = _SOURCES[cfg.data_source]
-    full = loader(*(_param(p, *row) for row in params))
-    fraction, seed, scale = _COMMON_PARAMS
-    train_set, test_set = split(full, _param(p, *fraction), _param(p, *seed))
-    if _param(p, *scale):
+    loader_args = tuple(_param(p, *row) for row in _SOURCES[cfg.data_source][1])
+    return cfg.data_source, loader_args, tuple(_param(p, *row) for row in _COMMON_PARAMS)
+
+
+def _build_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    source, loader_args, (fraction, seed, scale) = data_key(cfg)
+    train_set, test_set = split(_SOURCES[source][0](*loader_args), fraction, seed)
+    if scale:
         train_set, test_set, _ = normalize(train_set, test_set)
     return train_set, test_set
 

@@ -4,17 +4,18 @@ malloc settings it makes.
 `python -m snapens` and the installed `snapens` script both run `entry`. It
 is the one place that changes process-wide state. It runs `cli.main`'s steps
 (parse, load, run); before the load it keeps OpenSSL's hash module out of
-the process, which nothing in snapens uses, and before the run it sets
-numpy's bundled OpenBLAS to one thread, so a wide net's bytes do not depend
-on how many CPUs are usable, sets glibc's malloc to keep freed memory for
-the rest of the command, so arrays allocated again and again are not faulted
-in afresh each time, and freezes the heap of the imported modules
-(`gc.freeze`), so neither the collections of the run nor the interpreter's
-exit walk it. `cli.main` and every library function change none of these
-settings, since tests and library callers run them in-process; there the
-imports, the BLAS thread count, the allocator and the collector are the
-caller's business, and `block_openssl_hashes`, `set_blas_threads` and
-`set_malloc_policy` are the calls this entry makes.
+the process, which nothing in snapens uses, and has the command's modules
+compiled in a forked child while it imports numpy (`precompile`); before
+the run it sets numpy's bundled OpenBLAS to one thread, so a wide net's
+bytes do not depend on how many CPUs are usable, sets glibc's malloc to keep
+freed memory for the rest of the command, so arrays allocated again and
+again are not faulted in afresh each time, and freezes the heap of the
+imported modules (`gc.freeze`), so neither the collections of the run nor
+the interpreter's exit walk it. `cli.main` and every library function
+change none of these settings, since tests and library callers run them
+in-process; there the imports, the BLAS thread count, the allocator and the
+collector are the caller's business, and `block_openssl_hashes`,
+`set_blas_threads` and `set_malloc_policy` are the calls this entry makes.
 """
 from __future__ import annotations
 
@@ -124,14 +125,18 @@ def entry(argv=None) -> int:
     work. It parses with `cmdline` alone, after freezing the heap of its
     imports: `--help` and a usage error raise SystemExit there, with neither
     `cli` nor numpy loaded. Then, with `_hashlib` kept out
-    (`block_openssl_hashes`), it imports `cli` and the command's own
-    modules, freezes their heap, with one BLAS thread and the malloc policy
-    of `set_malloc_policy`, and runs the command."""
+    (`block_openssl_hashes`) and the command's modules compiled in a forked
+    child while it imports numpy (`precompile.install`), it imports `cli`
+    and the command's own modules, freezes their heap, with one BLAS thread
+    and the malloc policy of `set_malloc_policy`, and runs the command."""
     from . import cmdline
 
     gc.freeze()
     args = cmdline.parse(argv)
     block_openssl_hashes()
+    from . import precompile
+
+    precompile.install(args.command)
     from . import cli
 
     cli.load(args.command)

@@ -32,6 +32,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  here, not at a run's first draw between the split's buffers
 
 from .data import Dataset, can_allocate
 from .errors import ConfigError, DivergenceError, InputError, SnapensError

@@ -158,6 +158,21 @@ def test_eval_label_error_names_the_data_file(tmp_path, monkeypatch, capsys, com
     assert capsys.readouterr().err == f"config error: {data}: {LABEL_ERROR}\n"
 
 
+@pytest.mark.parametrize("command", ["gen-data", "ensemble"])
+def test_a_stray_memory_error_exits_2_naming_the_command(monkeypatch, capsys, command):
+    """A MemoryError that no size check caught ends the command with one
+    stderr line and exit 2, the code of the sizes checked up front."""
+    import snapens.cli as cli
+
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", out_of_memory)
+    argv = {"gen-data": ["--source", "spirals", "--out", "s.csv"], "ensemble": ["--manifest", "m", "--data", "d"]}
+    assert main([command, *argv[command]]) == 2
+    assert capsys.readouterr() == ("", f"config error: {command}: out of memory\n")
+
+
 def test_train_divergence_exits_3(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text(

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import SRC, subprocess_env
 from oracles import write_idx_pair
-from snapens import cli, cmdline, process
+from snapens import cli, cmdline, precompile, process
 from snapens.cli import main
 from snapens.config import parse_config
 from snapens.data import save_csv
@@ -91,10 +91,11 @@ def test_the_entry_sets_the_malloc_policy_once_between_the_parse_and_the_run(mon
     monkeypatch.setattr(cli, "load", record("load", cli.load))
     monkeypatch.setattr(cli, "run", record("run"))
     monkeypatch.setattr(process, "block_openssl_hashes", record("hashes"))
+    monkeypatch.setattr(precompile, "install", record("precompile"))
     monkeypatch.setattr(process, "set_blas_threads", record("blas"))
     monkeypatch.setattr(process, "set_malloc_policy", record("malloc"))
     assert process.entry(["gen-data", "--source", "two_moons", "--out", "x.csv"]) == 0
-    assert calls == ["freeze", "parse", "hashes", "load", "blas", "malloc", "freeze", "run"]
+    assert calls == ["freeze", "parse", "hashes", "precompile", "load", "blas", "malloc", "freeze", "run"]
 
 
 # Runs the entry on `gen-data` (which imports `hashlib` through

@@ -167,6 +167,32 @@ def test_shared_trajectory_trains_once_and_matches_lone_runs_byte_for_byte(
         assert tree_digests(lone / "runs" / name) == tree_digests(tmp_path / "sweep" / "runs" / name)
 
 
+def test_configs_that_differ_only_in_written_defaults_share_one_split(tmp_path, monkeypatch, capsys):
+    """Writing a `data.params` default keeps a config's data: one split is
+    built, and the three configs train as one group of one loop, into the
+    run directories `train` writes for each alone."""
+    config_dir = tmp_path / "cfgs"
+    config_dir.mkdir()
+    params = "n=20,noise=0.1,seed=3"
+    for name, written in (("a", ""), ("b", ",train_fraction=0.5"), ("c", ",split_seed=0,normalize=no")):
+        write_config(config_dir, name, f"runs/{name}", params=params + written)
+    built = []
+    real_build = cli_mod.build_datasets
+    monkeypatch.setattr(cli_mod, "build_datasets", lambda cfg: built.append(cfg) or real_build(cfg))
+    cpus(monkeypatch, 1)
+    trained = count_train_calls(monkeypatch)
+    code, _ = sweep_in(tmp_path / "sweep", config_dir, monkeypatch, capsys)
+    assert code == 0
+    assert len(built) == 1
+    assert trained == [[["snapshot", "snapshot", "snapshot"]]]
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    monkeypatch.chdir(lone)
+    for name in ("a", "b", "c"):
+        assert main(["train", str(config_dir / f"{name}.cfg")]) == 0
+        assert tree_digests(lone / "runs" / name) == tree_digests(tmp_path / "sweep" / "runs" / name)
+
+
 def test_a_sweep_share_renders_each_distinct_split_once(moons_sweep, tmp_path, monkeypatch, capsys):
     import snapens.data as data_mod
 
