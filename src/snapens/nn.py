@@ -110,16 +110,22 @@ def layer_views(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, n
     return views
 
 
-def init_params(spec: ModelSpec, seed: int) -> ParamVector:
-    """Seeded He-style uniform init: weights in +-sqrt(6/n_in), biases zero."""
+def init_params(spec: ModelSpec, seed: int, out=None) -> ParamVector:
+    """Seeded He-style uniform init: weights in +-sqrt(6/n_in), biases zero,
+    written into `out` (a P vector) when given, with no temporary array."""
     rng = np.random.default_rng(seed)
-    values = np.zeros(param_count(spec), dtype=np.float64)
+    values = np.zeros(param_count(spec), dtype=np.float64) if out is None else out
     offset = 0
     sizes = spec.layer_sizes
     for n_in, n_out in zip(sizes, sizes[1:]):
         bound = math.sqrt(6.0 / n_in)
-        values[offset : offset + n_in * n_out] = rng.uniform(-bound, bound, n_in * n_out)
-        offset += n_in * n_out + n_out  # biases stay zero
+        weights = values[offset : offset + n_in * n_out]
+        rng.random(out=weights)  # then -bound + 2 bound u, as rng.uniform(-bound, bound) draws
+        weights *= 2.0 * bound
+        weights += -bound
+        offset += n_in * n_out
+        values[offset : offset + n_out] = 0.0
+        offset += n_out
     return values
 
 

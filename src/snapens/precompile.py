@@ -1,8 +1,7 @@
 """Compile a command's snapens modules in a forked child while the process
-entry imports numpy, and import them from the child's code objects. The
-entry imports this module after the parse, so `--help` never compiles it;
-`cli.main` and library callers keep the normal import. No bytecode is written.
-"""
+entry imports numpy, and import them from the child's code objects. Only the
+entry imports this module, where `process.precompile_pays`. No bytecode is
+written."""
 from __future__ import annotations
 
 import marshal
@@ -16,8 +15,7 @@ def _compile(command) -> bytes:
     """The marshalled {name: (path, st_mtime_ns, st_size, code)} of the
     snapens modules not loaded yet that `command` imports: `cli`, its
     `cmdline.COMMANDS` modules, `pool` (a split `interpolate` imports it
-    late) and each module these name at their top level, as
-    `from .module import` does, compiled as importlib compiles a source."""
+    late) and each module these name at their top level."""
     from .cmdline import COMMANDS
 
     folder, table = os.path.dirname(__file__), {}
@@ -35,48 +33,38 @@ def _compile(command) -> bytes:
     return marshal.dumps(table)
 
 
-class _CodeLoader(SourceFileLoader):
-    """A source file loader whose first `get_code` hands over `code` and
-    keeps no reference to it, as an import keeps none to the code it
-    compiles; a later one compiles from source."""
+class _Precompiled(SourceFileLoader):
+    """A `sys.meta_path` finder that imports each module of `table` (a
+    `_compile` table) once from its code, while its source keeps the
+    st_mtime_ns and st_size recorded (CPython's rule for a `.pyc`)."""
 
-    def __init__(self, fullname, path, code):
-        super().__init__(fullname, path)
-        self.code = code
+    table: dict = {}
 
-    def get_code(self, fullname):
-        code, self.code = self.code, None
-        return code or super().get_code(fullname)
-
-
-class _Precompiled:
-    """A `sys.meta_path` finder that serves each module of a `_compile`
-    table once, while its source keeps the st_mtime_ns and st_size recorded
-    (CPython's rule for a `.pyc`). Other imports compile from source."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def find_spec(self, fullname, path=None, target=None):
-        if fullname not in self.table:
+    @classmethod
+    def find_spec(cls, fullname, path=None, target=None):
+        entry = cls.table.pop(fullname, None)
+        if entry is None:
             return None
-        path, mtime_ns, size, code = self.table.pop(fullname)
+        path, mtime_ns, size, code = entry
         try:
             stat = os.stat(path)
         except OSError:
             return None
         if (stat.st_mtime_ns, stat.st_size) != (mtime_ns, size):
             return None
-        return spec_from_file_location(fullname, path, loader=_CodeLoader(fullname, path, code))
+        loader = cls(fullname, path)
+        loader.code = code
+        return spec_from_file_location(fullname, path, loader=loader)
+
+    def get_code(self, fullname):
+        code, self.code = self.code, None  # kept nowhere, as an import keeps none of the code it compiles
+        return code
 
 
 def install(command) -> None:
     """Import numpy while a forked child compiles `command`'s modules, then
-    serve them from its code (`_Precompiled`). Only with two usable CPUs;
-    without, or where the fork fails, the child exits nonzero or its
-    payload is short, every import stays as it was."""
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return
+    serve them (`_Precompiled`). Where the fork fails, the child exits
+    nonzero or its payload is short, every import stays as it was."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -102,8 +90,8 @@ def install(command) -> None:
             payload = pipe.read()
         _, status = os.waitpid(pid, 0)
     try:
-        table = marshal.loads(payload) if status == 0 else {}
+        _Precompiled.table = marshal.loads(payload) if status == 0 else {}
     except (EOFError, ValueError):
         return
-    if table:
-        sys.meta_path.insert(0, _Precompiled(table))
+    if _Precompiled.table:
+        sys.meta_path.insert(0, _Precompiled)

@@ -4,14 +4,15 @@ malloc settings it makes.
 `python -m snapens` and the installed `snapens` script both run `entry`. It
 is the one place that changes process-wide state. It runs `cli.main`'s steps
 (parse, load, run); before the load it keeps OpenSSL's hash module out of
-the process, which nothing in snapens uses, and has the command's modules
-compiled in a forked child while it imports numpy (`precompile`); before
-the run it sets numpy's bundled OpenBLAS to one thread, so a wide net's
-bytes do not depend on how many CPUs are usable, sets glibc's malloc to keep
-freed memory for the rest of the command, so arrays allocated again and
-again are not faulted in afresh each time, and freezes the heap of the
-imported modules (`gc.freeze`), so neither the collections of the run nor
-the interpreter's exit walk it. `cli.main` and every library function
+the process, which nothing in snapens uses, and, where that pays
+(`precompile_pays`), has the command's modules compiled in a forked child
+while it imports numpy (`precompile`); before the run it sets numpy's
+bundled OpenBLAS to one thread, so a wide net's bytes do not depend on how
+many CPUs are usable, sets glibc's malloc to keep freed memory for the rest
+of the command, so arrays allocated again and again are not faulted in
+afresh each time, and freezes the heap of the imported modules
+(`gc.freeze`), so neither the collections of the run nor the interpreter's
+exit walk it. `cli.main` and every library function
 change none of these settings, since tests and library callers run them
 in-process; there the imports, the BLAS thread count, the allocator and the
 collector are the caller's business, and `block_openssl_hashes`,
@@ -20,6 +21,7 @@ collector are the caller's business, and `block_openssl_hashes`,
 from __future__ import annotations
 
 import gc
+import os
 import sys
 
 # The modules `hashlib` builds its algorithms from when it cannot import
@@ -120,23 +122,36 @@ def block_openssl_hashes() -> None:
         sys.modules.setdefault("_hashlib", None)
 
 
+def precompile_pays() -> bool:
+    """Whether the entry has a forked child compile the command's modules
+    (`precompile`): only where bytecode is neither written nor cached for
+    `cli`, the one case it was measured in, and two CPUs are usable."""
+    import importlib.util
+
+    cached = importlib.util.cache_from_source(os.path.join(os.path.dirname(__file__), "cli.py"))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return sys.dont_write_bytecode and usable >= 2 and not os.path.exists(cached)
+
+
 def entry(argv=None) -> int:
     """Run the command line `argv` (default `sys.argv[1:]`) as this process's
     work. It parses with `cmdline` alone, after freezing the heap of its
     imports: `--help` and a usage error raise SystemExit there, with neither
     `cli` nor numpy loaded. Then, with `_hashlib` kept out
-    (`block_openssl_hashes`) and the command's modules compiled in a forked
-    child while it imports numpy (`precompile.install`), it imports `cli`
-    and the command's own modules, freezes their heap, with one BLAS thread
-    and the malloc policy of `set_malloc_policy`, and runs the command."""
+    (`block_openssl_hashes`) and, where `precompile_pays`, the command's
+    modules compiled in a forked child while it imports numpy
+    (`precompile.install`), it imports `cli` and the command's own modules,
+    freezes their heap, with one BLAS thread and the malloc policy of
+    `set_malloc_policy`, and runs the command."""
     from . import cmdline
 
     gc.freeze()
     args = cmdline.parse(argv)
     block_openssl_hashes()
-    from . import precompile
+    if precompile_pays():
+        from . import precompile
 
-    precompile.install(args.command)
+        precompile.install(args.command)
     from . import cli
 
     cli.load(args.command)

@@ -32,7 +32,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import numpy.random  # noqa: F401  here, not at a run's first draw between the split's buffers
 
 from .data import Dataset, can_allocate
 from .errors import ConfigError, DivergenceError, InputError, SnapensError
@@ -347,8 +346,8 @@ def train_stack(groups) -> list:
     workspace = Workspace(first.model, len(stack))
     params = workspace.params
     for k, run in enumerate(stack):
-        params[k] = init_params(run.config.model, run.config.seed)
-    velocity = np.zeros_like(params)  # after the init vectors, so it reuses their freed memory
+        init_params(run.config.model, run.config.seed, out=params[k])
+    velocity = np.zeros_like(params)
     dim = stack[0].data.inputs.shape[1]
     sizes = {min(batch_size, n), n % batch_size or batch_size}
     batches = {b: Batch(np.zeros((len(stack), b, dim)), np.zeros((len(stack), b), dtype=np.int64)) for b in sizes}
@@ -369,7 +368,7 @@ def train_stack(groups) -> list:
             for k, run in enumerate(stack):
                 cycle = run.reinit_cycle(t)
                 if cycle is not None:
-                    params[k] = init_params(specs[k], derive_seed(run.config.seed, "reinit", cycle))
+                    init_params(specs[k], derive_seed(run.config.seed, "reinit", cycle), out=params[k])
                     velocity[k] = 0.0
             idx = orders[:, start : start + batch_size]
             batch = batches[idx.shape[1]]

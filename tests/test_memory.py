@@ -1,18 +1,21 @@
-"""A command's peak memory does not grow with its run's snapshot count, and
-`interpolate` holds one mixing vector beside its pair.
+"""A command's peak memory does not grow with its run's snapshot count,
+`interpolate` holds one mixing vector beside its pair, and a net's init
+allocates no temporary.
 
 numpy reports its buffers to tracemalloc, so the peak traced memory of one
 command counts every parameter vector it holds at once. `train` and each eval
 command may peak higher on an 8-snapshot run than on a 2-snapshot run of the
 same net by less than one snapshot's parameters.
 """
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import cpus
 from snapens.cli import main
-from snapens.nn import ModelSpec, param_count
+from snapens.nn import ModelSpec, init_params, param_count
 
 SNAPSHOT_BYTES = 8 * param_count(ModelSpec((2, 256, 256, 2)))  # 535 KB
 
@@ -96,3 +99,24 @@ def test_interpolate_holds_its_pair_one_mixing_vector_and_one_block(tmp_path, mo
     peak = peak_bytes(["interpolate", "--manifest", str(run / "run.manifest"), "--data", str(run / "test.csv"),
                        "--pair", "1", "2", "--points", "5", "--out", str(tmp_path / "interp")])
     assert peak - 2 * WIDE_BYTES < 1.25 * WIDE_BYTES, peak / WIDE_BYTES
+
+
+def test_init_params_fills_its_vector_in_place_with_the_uniform_draws():
+    """A wide net's init writes straight into the training vector: no
+    temporary the size of its weights, which a wide-idx `train` used to
+    allocate and free at once, and the values `rng.uniform` draws."""
+    spec = ModelSpec((784, 256, 256, 10))
+    out = np.full(param_count(spec), np.nan)
+    init_params(ModelSpec((2, 2)), 0)  # first-use costs, untraced
+    tracemalloc.start()
+    try:
+        assert init_params(spec, 3, out=out) is out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    rng, offset, expected = np.random.default_rng(3), 0, []
+    for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
+        bound = math.sqrt(6.0 / n_in)
+        expected += [rng.uniform(-bound, bound, n_in * n_out), np.zeros(n_out)]
+    assert out.tobytes() == np.concatenate(expected).tobytes() == init_params(spec, 3).tobytes()

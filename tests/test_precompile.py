@@ -1,7 +1,8 @@
-"""The process entry's precompile: with two usable CPUs, a forked child
-compiles the command's snapens modules while the entry imports numpy, and
-the entry imports them from the child's code objects; anywhere else, and on
-every failure, they compile from source as before, with the same bytes."""
+"""The process entry's precompile: with two usable CPUs and bytecode neither
+written nor cached, a forked child compiles the command's snapens modules
+while the entry imports numpy, and the entry imports them from the child's
+code objects; anywhere else, and on every failure, the imports stay as they
+were, with the same bytes."""
 import json
 import os
 import pathlib
@@ -93,19 +94,31 @@ output.dir = {out}
 """
 
 
-def probe(tmp_path, argv, setup="", src=SRC, code=0):
+def probe(tmp_path, src, argv, setup="", code=0, writes_bytecode=False):
     """The finished `python -m snapens ARGV` process, run in `tmp_path` with
     `src` first on its path after `setup`, and the entry's report."""
     report = tmp_path / "report.json"
     report.unlink(missing_ok=True)
+    env = subprocess_env(PYTHONPATH=str(src))
+    if writes_bytecode:
+        del env["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run([sys.executable, "-c", PROBE.format(setup=setup), str(report), *argv], cwd=tmp_path,
-                          env=subprocess_env(PYTHONPATH=str(src)), capture_output=True, timeout=120)
+                          env=env, capture_output=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     return proc, json.loads(report.read_text())
 
 
 def served(report):
-    return {name for name, loader in report["loaders"].items() if loader == "_CodeLoader"}
+    return {name for name, loader in report["loaders"].items() if loader == "_Precompiled"}
+
+
+@pytest.fixture
+def src(tmp_path):
+    """A copy of the package with no `__pycache__`, where the entry forks
+    whether or not this test run wrote bytecode beside `SRC`, and where a
+    test may change a source."""
+    shutil.copytree(SRC / "snapens", tmp_path / "src" / "snapens", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "src"
 
 
 @pytest.fixture
@@ -132,26 +145,27 @@ def two_cpus():
 
 @pytest.mark.skipif(not two_cpus(), reason="the entry forks only with two usable CPUs")
 @pytest.mark.parametrize("command", ["ensemble", "interpolate", "train", "sweep"])
-def test_every_module_imported_after_the_parse_comes_from_the_child(tmp_path, inputs, command):
-    _, report = probe(tmp_path, commands(inputs)[command])
+def test_every_module_imported_after_the_parse_comes_from_the_child(tmp_path, src, inputs, command):
+    _, report = probe(tmp_path, src, commands(inputs)[command])
     assert report["forks"] >= 1
     imported = set(report["loaders"]) - ENTRY
     assert {"snapens.cli", "snapens.errors", "snapens.data", "snapens.nn"} <= imported
     assert served(report) == imported
     assert sorted(report["compiled"]) == ["__init__.py", "__main__.py", "cmdline.py", "precompile.py", "process.py"]
     assert not report["left"]
+    assert not list(src.rglob("__pycache__"))
 
 
 def tree(path: pathlib.Path) -> dict:
     return {p.relative_to(path).as_posix(): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
 
 
-def outputs(tmp_path, argv, setup, src=SRC):
+def outputs(tmp_path, src, argv, setup, writes_bytecode=False):
     """stdout and the files `argv` wrote, then the entry's report."""
     for name in ("runs", "interp"):
         shutil.rmtree(tmp_path / name, ignore_errors=True)
     (tmp_path / "summary.csv").unlink(missing_ok=True)
-    proc, report = probe(tmp_path, argv, setup, src)
+    proc, report = probe(tmp_path, src, argv, setup, writes_bytecode=writes_bytecode)
     written = {name: tree(tmp_path / name) for name in ("runs", "interp") if (tmp_path / name).exists()}
     if (tmp_path / "summary.csv").exists():
         written["summary.csv"] = (tmp_path / "summary.csv").read_bytes()
@@ -161,10 +175,10 @@ def outputs(tmp_path, argv, setup, src=SRC):
 @pytest.mark.skipif(not two_cpus(), reason="the entry forks only with two usable CPUs")
 @pytest.mark.parametrize("setup", [FORK_FAILS, CHILD_EXITS_1, TRUNCATED],
                          ids=["fork_fails", "child_exits_1", "truncated_payload"])
-def test_a_failed_precompile_compiles_from_source_with_the_same_bytes(tmp_path, inputs, setup):
+def test_a_failed_precompile_compiles_from_source_with_the_same_bytes(tmp_path, src, inputs, setup):
     for argv in commands(inputs).values():
-        expected, alone = outputs(tmp_path, argv, ONE_CPU)
-        got, report = outputs(tmp_path, argv, setup)
+        expected, alone = outputs(tmp_path, src, argv, ONE_CPU)
+        got, report = outputs(tmp_path, src, argv, setup)
         assert got == expected
         assert served(report) == served(alone) == set()
         assert "cli.py" in report["compiled"]
@@ -173,13 +187,11 @@ def test_a_failed_precompile_compiles_from_source_with_the_same_bytes(tmp_path, 
 
 @pytest.mark.skipif(not two_cpus(), reason="the entry forks only with two usable CPUs")
 @pytest.mark.parametrize("grow, later", [(False, 10**9), (True, 0)], ids=["mtime", "size"])
-def test_a_source_changed_after_the_child_read_it_compiles_from_source(tmp_path, inputs, grow, later):
-    src = tmp_path / "src"
-    shutil.copytree(SRC / "snapens", src / "snapens", ignore=shutil.ignore_patterns("__pycache__"))
+def test_a_source_changed_after_the_child_read_it_compiles_from_source(tmp_path, src, inputs, grow, later):
     argv = commands(inputs)["ensemble"]
-    expected, _ = outputs(tmp_path, argv, ONE_CPU, src)
+    expected, _ = outputs(tmp_path, src, argv, ONE_CPU)
     touched = NN_TOUCHED.format(grow=grow, later=later, nn=str(src / "snapens" / "nn.py"))
-    got, report = outputs(tmp_path, argv, touched, src)
+    got, report = outputs(tmp_path, src, argv, touched)
     assert got == expected
     assert report["loaders"]["snapens.nn"] == "SourceFileLoader"
     assert "nn.py" in report["compiled"] and "data.py" not in report["compiled"]
@@ -194,9 +206,24 @@ def test_a_source_changed_after_the_child_read_it_compiles_from_source(tmp_path,
     ("ensemble", ONE_CPU, 0),
     ("train", ONE_CPU, 0),
 ], ids=["help", "usage_error", "missing_group", "ensemble_one_cpu", "train_one_cpu"])
-def test_the_entry_forks_nothing_at_one_cpu_or_before_a_command_runs(tmp_path, inputs, argv, setup, code):
+def test_the_entry_forks_nothing_at_one_cpu_or_before_a_command_runs(tmp_path, src, inputs, argv, setup, code):
     argv = commands(inputs).get(argv, argv.split())
-    _, report = probe(tmp_path, argv, setup, code=code)
+    _, report = probe(tmp_path, src, argv, setup, code=code)
     assert report["forks"] == 0
     assert served(report) == set()
+    assert "snapens.precompile" not in report["loaders"]
     assert not report["left"]
+
+
+@pytest.mark.skipif(not two_cpus(), reason="the entry forks only with two usable CPUs")
+def test_the_entry_forks_nothing_where_bytecode_is_written_or_cached(tmp_path, src, inputs):
+    argv = commands(inputs)["ensemble"]
+    expected, _ = outputs(tmp_path, src, argv, ONE_CPU)
+    written, report = outputs(tmp_path, src, argv, "", writes_bytecode=True)
+    assert written == expected
+    assert report["forks"] == 0 and "cli.py" in report["compiled"]
+    assert (src / "snapens" / "__pycache__").is_dir()
+    cached, report = outputs(tmp_path, src, argv, "")
+    assert cached == expected
+    assert report["forks"] == 0 and report["compiled"] == []
+    assert served(report) == set() and "snapens.precompile" not in report["loaders"]

@@ -91,6 +91,7 @@ def test_the_entry_sets_the_malloc_policy_once_between_the_parse_and_the_run(mon
     monkeypatch.setattr(cli, "load", record("load", cli.load))
     monkeypatch.setattr(cli, "run", record("run"))
     monkeypatch.setattr(process, "block_openssl_hashes", record("hashes"))
+    monkeypatch.setattr(process, "precompile_pays", lambda: True)  # whatever the host's CPUs and bytecode
     monkeypatch.setattr(precompile, "install", record("precompile"))
     monkeypatch.setattr(process, "set_blas_threads", record("blas"))
     monkeypatch.setattr(process, "set_malloc_policy", record("malloc"))
