@@ -37,15 +37,14 @@ def interpolate(
     dataset,
     lambda_grid: np.ndarray | None = None,
     theta1_error: float | None = None,
-    theta2_error: float | None = None,
 ) -> InterpolationCurve:
     """Evaluate test error at every convex combination on the lambda grid.
 
-    A caller that already knows the test error of theta1 or theta2 on
-    `dataset` passes it in, and the lam=1 or lam=0 point takes it instead of
-    a forward pass. Each interior point is mixed into one vector made once
-    per curve, `SGD_BLOCK` elements at a time through one block-sized
-    temporary, with the float operations of `lam*theta1 + (1-lam)*theta2`.
+    A caller that already knows the test error of theta1 on `dataset`
+    passes it in, and the lam=1 point takes it instead of a forward pass.
+    Each interior point is mixed into one vector made once per curve,
+    `SGD_BLOCK` elements at a time through one block-sized temporary, with
+    the float operations of `lam*theta1 + (1-lam)*theta2`.
     """
     theta1 = np.asarray(theta1, dtype=np.float64)
     theta2 = np.asarray(theta2, dtype=np.float64)
@@ -63,7 +62,7 @@ def interpolate(
     mixed, other = np.empty_like(theta1), np.empty(min(SGD_BLOCK, len(theta1)))
     for i, lam in enumerate(grid):
         if lam == 0.0:
-            point, known = theta2, theta2_error
+            point, known = theta2, None
         elif lam == 1.0:
             point, known = theta1, theta1_error
         else:

@@ -153,7 +153,7 @@ def _run_stack(stack, write_split, workers=1):
     `store.staging`: training stages each snapshot there as it is taken, and
     the writer stages each split, with `workers` > 1 on a second share of
     `pool.run_shares`, in a child on another CPU, while this process trains;
-    else here after training.
+    else, or where that fork fails, here after training.
 
     Returns each experiment's outcome by config path, for `_save`: its run
     manifest and, for each of `store.SPLIT_NAMES`, None once staged or the

@@ -10,6 +10,8 @@ import sys
 from importlib.machinery import SourceFileLoader
 from importlib.util import spec_from_file_location
 
+from .process import fork
+
 
 def _compile(command) -> bytes:
     """The marshalled {name: (path, st_mtime_ns, st_size, code)} of the
@@ -62,35 +64,21 @@ class _Precompiled(SourceFileLoader):
 
 
 def install(command) -> None:
-    """Import numpy while a forked child compiles `command`'s modules, then
-    serve them (`_Precompiled`). Where the fork fails, the child exits
-    nonzero or its payload is short, every import stays as it was."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+    """Import numpy while a forked child (`process.fork`, unpinned) compiles
+    `command`'s modules, then serve them (`_Precompiled`). Where the fork
+    fails, the child exits nonzero or its payload is short, every import
+    stays as it was."""
+    # one payload, compiled whole before it is sent: a child blocked on the
+    # full 64 KiB pipe would compile no further
+    join = fork(lambda: [_compile(command)])
+    if join is None:
         return
-    if pid == 0:
-        status = 1
-        try:  # compile all before writing: a child blocked on the full 64 KiB pipe compiles no further
-            os.close(read_fd)
-            payload = _compile(command)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
     try:
         import numpy  # noqa: F401
     finally:
-        with open(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
+        sent, code = join()
     try:
-        _Precompiled.table = marshal.loads(payload) if status == 0 else {}
+        _Precompiled.table = marshal.loads(sent[0]) if sent and not code else {}
     except (EOFError, ValueError):
         return
     if _Precompiled.table:

@@ -17,6 +17,10 @@ change none of these settings, since tests and library callers run them
 in-process; there the imports, the BLAS thread count, the allocator and the
 collector are the caller's business, and `block_openssl_hashes`,
 `set_blas_threads` and `set_malloc_policy` are the calls this entry makes.
+
+It also holds the one way snapens forks (`fork`: start a child, read back
+what it sends, reap it) and the one rule for how many CPUs it uses
+(`usable_cpus`), for the entry's precompile and `pool`'s workers alike.
 """
 from __future__ import annotations
 
@@ -122,6 +126,82 @@ def block_openssl_hashes() -> None:
         sys.modules.setdefault("_hashlib", None)
 
 
+def usable_cpus() -> list:
+    """The CPUs this process may run on, in order, which `fork` may pin a
+    child to; none on a platform other than Linux, where nothing forks."""
+    return sorted(os.sched_getaffinity(0)) if sys.platform == "linux" else []
+
+
+def fork(items, cpu=None):
+    """Fork a child that pickles each object of the iterable `items()` into a
+    pipe, pinned to `cpu` unless it is None. Return join, which reads the
+    objects back in order, reaps the child and returns (the objects, its
+    exit code); or None, having started nothing, where the pipe or the fork
+    fails.
+
+    The child reuses the imported modules and loaded inputs, where a spawned
+    one would import numpy again (about 180 ms). snapens starts no threads
+    of its own, and OpenBLAS stops its threads around a fork. The child ends
+    with os._exit, so the parent's atexit hooks and buffers never run twice;
+    an unexpected exception prints its traceback and exits 1. It is pinned
+    because a child starts on its parent's CPU, and a 2-vCPU host's
+    scheduler left both there for a whole 70 ms share. The calling process
+    is never pinned: the BLAS threads it starts later would inherit the pin.
+    A refused pin is ignored.
+    """
+    import pickle  # numpy, imported after a precompile fork, would import it anyway
+
+    fds = ()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                except OSError:
+                    pass
+            with open(write_fd, "wb") as pipe:
+                for item in items():
+                    pickle.dump(item, pipe)
+                    pipe.flush()
+            status = 0
+        except Exception:
+            import traceback
+
+            traceback.print_exc()
+        finally:  # never return into the parent's stack, whatever was raised
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+    os.close(write_fd)
+
+    def join():
+        sent = []
+        try:
+            with open(read_fd, "rb") as pipe:
+                while True:
+                    try:
+                        sent.append(pickle.load(pipe))
+                    except (EOFError, pickle.UnpicklingError):
+                        break
+        finally:
+            _, status = os.waitpid(pid, 0)
+        return sent, os.waitstatus_to_exitcode(status)
+
+    return join
+
+
 def precompile_pays() -> bool:
     """Whether the entry has a forked child compile the command's modules
     (`precompile`): only where bytecode is neither written nor cached for
@@ -129,8 +209,7 @@ def precompile_pays() -> bool:
     import importlib.util
 
     cached = importlib.util.cache_from_source(os.path.join(os.path.dirname(__file__), "cli.py"))
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return sys.dont_write_bytecode and usable >= 2 and not os.path.exists(cached)
+    return sys.dont_write_bytecode and len(usable_cpus()) >= 2 and not os.path.exists(cached)
 
 
 def entry(argv=None) -> int:

@@ -77,6 +77,12 @@ def test_only_the_process_entry_freezes_or_sets_blas_threads():
     assert users == {"process.py"}
 
 
+def test_only_the_process_module_forks_or_reads_the_usable_cpus():
+    pattern = re.compile(r"\bos\.(fork|pipe|waitpid|sched_getaffinity)\b")
+    users = {path.name for path in (SRC / "snapens").glob("*.py") if pattern.search(path.read_text())}
+    assert users == {"process.py"}
+
+
 def test_the_entry_sets_the_malloc_policy_once_between_the_parse_and_the_run(monkeypatch):
     calls = []
 
