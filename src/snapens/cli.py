@@ -155,12 +155,19 @@ def _run_stack(stack, write_split, workers=1):
     `pool.run_shares`, in a child on another CPU, while this process trains;
     else, or where that fork fails, here after training.
 
+    It empties `stack` and keeps only each experiment's path, so the
+    training share holds the training splits and the writer's tasks the
+    splits they write. Once the writer is forked, a split that only it
+    reads (`train`'s test split) is then freed here before training, unless
+    the caller holds it too (`sweep` scores its runs on its test splits).
+
     Returns each experiment's outcome by config path, for `_save`: its run
     manifest and, for each of `store.SPLIT_NAMES`, None once staged or the
     error its writer met. A group that failed has its error as the outcome
     of each of its experiments, and so do the groups the loop ended after it.
     """
     members = sorted((e for group in stack for e in group), key=lambda e: e.path)
+    paths = [[e.path for e in group] for group in stack]
     groups = [([e.config for e in group], group[0].train_set, [e.out_dir for e in group]) for group in stack]
     (configs, train_set, out_dirs), *later = groups
     run = partial(train, configs[0], train_set, configs[1:], out_dirs, later)
@@ -170,28 +177,30 @@ def _run_stack(stack, write_split, workers=1):
         for e in members
         for path, split in zip(staged[e.path], (e.train_set, e.test_set))
     ]
-    outcomes = {}  # None -> the groups' runs; staged split path -> None once written, or the error met
     shares = [[(None, run)], writes] if workers > 1 else [[(None, run), *writes]]
+    del stack[:], members, writes  # the shares alone hold the splits now
+    outcomes = {}  # None -> the groups' runs; staged split path -> None once written, or the error met
     run_shares(shares, outcomes.__setitem__, "train")
     # each group's runs, up to the first group that failed, whose entry is its
     # error; or the one error that stopped the loop
     results = outcomes[None] if isinstance(outcomes[None], list) else [outcomes[None]]
-    results = results + results[-1:] * (len(stack) - len(results))
+    results = results + results[-1:] * (len(paths) - len(results))
     done = {}
-    for group, result in zip(stack, results):
-        for k, e in enumerate(group):
-            splits = [outcomes.get(path) for path in staged[e.path]]
-            done[e.path] = result if isinstance(result, BaseException) else (result[k], splits)
+    for group, result in zip(paths, results):
+        for k, path in enumerate(group):
+            splits = [outcomes.get(split) for split in staged[path]]
+            done[path] = result if isinstance(result, BaseException) else (result[k], splits)
     return done
 
 
-def _save(experiment, outcome):
-    """Save `experiment`'s run directory from its `_run_stack` outcome, or
-    raise the error that outcome holds; return the saved manifest's path."""
+def _save(out_dir, outcome):
+    """Save the run directory `out_dir` from its experiment's `_run_stack`
+    outcome, or raise the error that outcome holds; return the saved
+    manifest's path."""
     if isinstance(outcome, BaseException):
         raise outcome
     manifest, splits = outcome
-    return save_run(manifest, experiment.out_dir, splits)
+    return save_run(manifest, out_dir, splits)
 
 
 def _split_writer(experiments):
@@ -215,12 +224,14 @@ def _split_writer(experiments):
 
 
 def cmd_train(args) -> int:
-    experiment = load_experiment(args.config, parse_config(args.config), {})
-    with staging([experiment.out_dir]):
-        outcome = _run_stack([[experiment]], save_csv, worker_count(2))[experiment.path]
-        manifest_path = _save(experiment, outcome)
+    # the experiment is held by the stack alone, which `_run_stack` empties
+    stack = [[load_experiment(args.config, parse_config(args.config), {})]]
+    path, out_dir = stack[0][0].path, stack[0][0].out_dir
+    with staging([out_dir]):
+        outcome = _run_stack(stack, save_csv, worker_count(2))[path]
+        manifest_path = _save(out_dir, outcome)
     manifest, _ = outcome
-    print(f"run complete: {len(manifest.snapshots)} snapshots in {experiment.out_dir}")
+    print(f"run complete: {len(manifest.snapshots)} snapshots in {out_dir}")
     print(f"manifest: {manifest_path}")
     return 0
 
@@ -392,7 +403,7 @@ def _sweep_row(experiment, run_stack, trained):
     snapshot ensemble as read back from disk: its summary row."""
     if experiment.path not in trained:
         trained.update(run_stack())
-    records = load_run(_save(experiment, trained.pop(experiment.path)))
+    records = load_run(_save(experiment.out_dir, trained.pop(experiment.path)))
     m = len(records)
     result = ensemble_eval(records, experiment.test_set, m, "latest")
     name = os.path.splitext(os.path.basename(experiment.path))[0]

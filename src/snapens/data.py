@@ -458,7 +458,11 @@ def _labels(texts) -> list[int]:
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Read an IDX image/label pair; pixels scale to [0, 1] as value / 255."""
+    """Read an IDX image/label pair; pixels scale to [0, 1] as value / 255.
+
+    Pixels and labels are read in place from each file's bytes past its
+    header, so the only array made the size of the images is the N x D
+    float64 one."""
     with open(images_path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16:
@@ -468,10 +472,9 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"{images_path}: bad images magic 0x{magic:08x}")
     if count == 0:
         raise FormatError(f"{images_path}: no images")
-    payload = blob[16:]
-    if len(payload) != count * rows * cols:
+    if len(blob) - 16 != count * rows * cols:
         raise FormatError(f"{images_path}: images payload length mismatch")
-    inputs = np.frombuffer(payload, np.uint8).astype(np.float64).reshape(count, rows * cols)
+    inputs = np.frombuffer(blob, np.uint8, offset=16).astype(np.float64).reshape(count, rows * cols)
     inputs /= 255.0  # in place: one N x D float64 array
 
     with open(labels_path, "rb") as fh:
@@ -485,7 +488,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"{labels_path}: labels payload length mismatch")
     if label_count != count:
         raise FormatError("image/label count mismatch")
-    labels = np.frombuffer(blob[8:], np.uint8).astype(np.int64)
+    labels = np.frombuffer(blob, np.uint8, offset=8).astype(np.int64)
     return Dataset(inputs, labels, int(labels.max()) + 1)
 
 

@@ -11,6 +11,8 @@ process in its turn, so the outcomes are those of a run on one CPU. With one
 share nothing forks. `sweep` splits its groups of configs, an `interpolate`
 large enough to split its grid, and `train` runs the SGD loop in share 0
 while a writer in share 1 stages the run's data split (`cli._run_stack`).
+Once a share's child is forked, the calling process keeps only its keys,
+so what its tasks alone hold (`train`'s test split) is freed there.
 Only these commands import this module.
 """
 from __future__ import annotations
@@ -46,23 +48,29 @@ def run_shares(shares, report, name):
 
     shares[0] runs in the calling process, which reports its outcomes as they
     come, and each other share w in a child pinned to the w-th usable CPU,
-    reported once the shares before it are. A share whose fork fails runs
-    here in its turn. A child that exits nonzero before it reports its whole
-    share reports SystemExit("KEY: NAME worker exited with code N") for the
-    first key it left. Every child is reaped before this returns or raises.
+    reported once the shares before it are. Once that child is forked, this
+    sets shares[w] to None: the calling process keeps only the share's keys,
+    so what its tasks hold lives on in the child alone. A share whose fork
+    fails keeps its tasks and runs here in its turn. A child that exits
+    nonzero before it reports its whole share reports
+    SystemExit("KEY: NAME worker exited with code N") for the first key it
+    left. Every child is reaped before this returns or raises.
     """
+    keys = [[key for key, _ in share] for share in shares]
     cpus, joins = usable_cpus(), [None]
     try:
         for w in range(1, len(shares)):
             joins.append(fork(partial(_outcomes, shares[w]), cpus[w]))
-        for w, share in enumerate(shares):
+            if joins[w]:
+                shares[w] = None
+        for w in range(len(shares)):
             join, joins[w] = joins[w], None
-            sent, code = join() if join else (_outcomes(share), 0)
+            sent, code = join() if join else (_outcomes(shares[w]), 0)
             done = 0
             for done, (key, outcome) in enumerate(sent, 1):
                 report(key, outcome)
-            if code and done < len(share):
-                key = share[done][0]
+            if code and done < len(keys[w]):
+                key = keys[w][done]
                 report(key, SystemExit(f"{key}: {name} worker exited with code {code}"))
     finally:
         for join in filter(None, joins):

@@ -316,8 +316,10 @@ def train_stack(groups) -> list:
     Every group must have the same layer sizes, batch size, split length and
     epochs. Parameters, velocity and gradient are (K, P) arrays, one row per
     group, and each step makes one stacked `loss_and_grad` call and one
-    `sgd_step` call; each row gathers its batch from its own split and keeps
-    its own shuffles, learning rates, momentum, weight decay, dropout masks,
+    `sgd_step` call. The batches go into one buffer of min(batch_size, n)
+    rows per group, a shorter final batch into a view of its leading rows.
+    Each row gathers its batch from its own split and keeps its own
+    shuffles, learning rates, momentum, weight decay, dropout masks,
     re-initialisations and captures, so each run has the bytes it gets in a
     stack of one.
 
@@ -340,9 +342,11 @@ def train_stack(groups) -> list:
     decayed = [(k, r.config.weight_decay) for k, r in enumerate(stack) if r.config.weight_decay > 0.0]
     dropout_seeds = [r.config.seed if r.config.model.dropout_rate > 0.0 else None for r in stack]
 
-    # The step only writes into these buffers. Rows are gathered into
-    # preallocated batches of the full size and of the final batch's size;
-    # each dataset was validated when it was built.
+    # The step only writes into these buffers. Each step gathers its rows
+    # into one buffer of K x min(batch_size, n) rows: a final batch of b
+    # rows per run, fewer than that, is the buffer's leading K x b rows
+    # viewed as (K, b), the layout of a batch allocated at its own size.
+    # Each dataset was validated when it was built.
     workspace = Workspace(first.model, len(stack))
     params = workspace.params
     for k, run in enumerate(stack):
@@ -350,7 +354,11 @@ def train_stack(groups) -> list:
     velocity = np.zeros_like(params)
     dim = stack[0].data.inputs.shape[1]
     sizes = {min(batch_size, n), n % batch_size or batch_size}
-    batches = {b: Batch(np.zeros((len(stack), b, dim)), np.zeros((len(stack), b), dtype=np.int64)) for b in sizes}
+    rows = len(stack) * max(sizes)
+    inputs, labels = np.zeros((rows, dim)), np.zeros(rows, dtype=np.int64)
+    batches = {
+        b: Batch(inputs[: len(stack) * b].reshape(-1, b, dim), labels[: len(stack) * b].reshape(-1, b)) for b in sizes
+    }
     live, error = len(stack), None  # the rows before `live` record; `error` ended row `live`
 
     steps = ((epoch, start) for epoch in range(1, epochs + 1) for start in range(0, n, batch_size))

@@ -509,6 +509,28 @@ def test_load_idx_round_trip(tmp_path):
     np.testing.assert_array_equal(ds.labels, labels)
 
 
+def test_load_idx_reads_the_pixels_without_a_second_copy_of_the_file(tmp_path):
+    """`load_idx` holds the file's bytes and the float64 array at once, but
+    no copy of the pixel payload: its peak stays under those two by 64 KiB,
+    where slicing the payload out of the file's bytes would add 392 KB."""
+    rng = np.random.default_rng(0)
+    n = 500
+    images, labels = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8), rng.integers(0, 10, n, dtype=np.uint8)
+    paths = tmp_path / "im.idx", tmp_path / "lb.idx"
+    write_idx_pair(*paths, images, labels)
+    load_idx(*paths)  # first-use costs, untraced
+    tracemalloc.start()
+    try:
+        ds = load_idx(*paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * images.size + paths[0].stat().st_size + 64 * 1024
+    assert peak < bound, (peak, bound)
+    np.testing.assert_array_equal(ds.inputs, images.reshape(n, 784) / 255.0)
+    np.testing.assert_array_equal(ds.labels, labels)
+
+
 def test_load_idx_count_mismatch(tmp_path):
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     labels = np.zeros(2, dtype=np.uint8)

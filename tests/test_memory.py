@@ -7,12 +7,15 @@ command counts every parameter vector it holds at once. `train` and each eval
 command may peak higher on an 8-snapshot run than on a 2-snapshot run of the
 same net by less than one snapshot's parameters.
 """
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import snapens.cli as cli_mod
 from conftest import cpus
 from snapens.cli import main
 from snapens.nn import ModelSpec, init_params, param_count
@@ -120,3 +123,37 @@ def test_init_params_fills_its_vector_in_place_with_the_uniform_draws():
         bound = math.sqrt(6.0 / n_in)
         expected += [rng.uniform(-bound, bound, n_in * n_out), np.zeros(n_out)]
     assert out.tobytes() == np.concatenate(expected).tobytes() == init_params(spec, 3).tobytes()
+
+
+def test_a_forked_writer_takes_the_test_split_out_of_the_training_process(tmp_path, monkeypatch, capsys):
+    """With two CPUs the split writer is forked before training starts, and
+    the training process frees the test split, which only the writer reads;
+    on one CPU the split is kept and written after training. Both write the
+    same run directory, test.csv included."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG.format(cycles=2, out="run"))
+    build, train_stack = cli_mod.build_datasets, cli_mod.train_stack
+    test_inputs, alive, trees = [], [], []
+
+    def traced_build(parsed):
+        splits = build(parsed)
+        test_inputs.append(weakref.ref(splits[1].inputs))
+        return splits
+
+    def traced_train_stack(groups):
+        gc.collect()
+        alive.append(test_inputs.pop()() is not None)
+        return train_stack(groups)
+
+    monkeypatch.setattr(cli_mod, "build_datasets", traced_build)
+    monkeypatch.setattr(cli_mod, "train_stack", traced_train_stack)
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        workdir = tmp_path / f"cpus{count}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(["train", str(cfg)]) == 0
+        run = workdir / "run"
+        trees.append({path.name: path.read_bytes() for path in sorted(run.iterdir())})
+    assert alive == [True, False]
+    assert trees[0] == trees[1] and "test.csv" in trees[1]
